@@ -147,6 +147,22 @@ struct Channel {
     issue_floor: u64,
     bus_free_at: f64,
     draining: bool,
+    // EQUIVALENCE: the write-drain hysteresis is a function of the
+    // write-queue length, and between two of a channel's ticks that length
+    // changes only through enqueues (issue is the only pop, and it runs
+    // inside the tick). A caller that skips a channel's not-due ticks
+    // would skip the hysteresis steps a stepping engine runs on them; all
+    // of those see the same length, and the step is idempotent on a
+    // constant input, so one evaluation stands for all of them — provided
+    // it happens before the length moves. Hence: every tick evaluates,
+    // and the first enqueue of a cycle the channel has not yet evaluated
+    // evaluates once with the pre-enqueue length before pushing. That is
+    // the value the stepping engine's tick of this cycle would have seen,
+    // because ticks precede enqueues within a system cycle. Under
+    // stepping, every tick has already evaluated before the cycle's
+    // enqueues, so the enqueue-side step never fires and nothing changes.
+    /// First cycle whose hysteresis step has not run yet.
+    hyst_next: u64,
     /// Occupancy accounting for the cycle-accounting profiler: bank-time
     /// spent on row-hit vs row-miss accesses and serialized bus time.
     /// Always-on plain additions at the issue site (no journal impact —
@@ -176,6 +192,25 @@ impl Channel {
             .min()
             .unwrap_or(0);
         self.issue_floor = bus_ready.max(min_bank_ready);
+    }
+
+    /// One write-drain hysteresis step on the current write-queue length,
+    /// recorded as this cycle's.
+    fn step_hysteresis(&mut self, cfg: &DramConfig, now: Cycle) {
+        if self.write_q.len() >= cfg.drain_high {
+            self.draining = true;
+        } else if self.write_q.len() <= cfg.drain_low {
+            self.draining = false;
+        }
+        self.hyst_next = now.0 + 1;
+    }
+
+    /// Runs this cycle's hysteresis step ahead of an enqueue, unless the
+    /// channel's tick already ran it (see `hyst_next`).
+    fn settle_before_enqueue(&mut self, cfg: &DramConfig, now: Cycle) {
+        if self.hyst_next <= now.0 {
+            self.step_hysteresis(cfg, now);
+        }
     }
 
     /// Lowers [`Channel::issue_floor`] for one newly queued request.
@@ -383,6 +418,7 @@ impl DramModel {
                 issue_floor: u64::MAX,
                 bus_free_at: 0.0,
                 draining: false,
+                hyst_next: 0,
                 row_hit_cycles: 0,
                 row_miss_cycles: 0,
                 bus_cycles: 0.0,
@@ -459,6 +495,9 @@ impl DramModel {
             addr,
             arrival: now,
         };
+        // Only the write queue feeds the hysteresis: settle this cycle's
+        // step before the length can move.
+        self.channels[ch].settle_before_enqueue(&self.cfg, now);
         match self.channels[ch].write_q.try_push(req) {
             Ok(()) => {
                 self.channels[ch].note_enqueue(addr, &self.cfg);
@@ -493,7 +532,7 @@ impl DramModel {
     /// before `now` to `done` (allocation-free variant of
     /// [`DramModel::tick`]; `done` is NOT cleared).
     pub fn tick_into(&mut self, now: Cycle, done: &mut Vec<Completion>) {
-        let cfg = self.cfg.clone();
+        let cfg = &self.cfg;
         let banks_per_channel = cfg.banks_per_channel;
         for (ci, ch) in self.channels.iter_mut().enumerate() {
             // 1. Deliver finished accesses (skip the scan until something
@@ -536,11 +575,7 @@ impl DramModel {
                 ch.min_finish = min;
             }
             // 2. Write-drain hysteresis.
-            if ch.write_q.len() >= cfg.drain_high {
-                ch.draining = true;
-            } else if ch.write_q.len() <= cfg.drain_low {
-                ch.draining = false;
-            }
+            ch.step_hysteresis(cfg, now);
             // 3. Issue while the data bus has room this cycle. Skipped
             // outright while `issue_floor` (an underestimate of the
             // earliest successful issue) is in the future: the scan below
@@ -673,7 +708,7 @@ impl DramModel {
                 ch.min_finish = ch.min_finish.min(finish);
                 let _ = req.arrival; // latency accounting happens at the caller
             }
-            ch.recompute_issue_floor(&cfg);
+            ch.recompute_issue_floor(cfg);
         }
     }
 
@@ -1315,6 +1350,55 @@ mod tests {
             }
         }
         assert_eq!(by_skip, by_step);
+    }
+
+    #[test]
+    fn lazy_hysteresis_matches_stepping_when_enqueues_land_between_ticks() {
+        // A caller that ticks the model only when it is due (its horizon
+        // reached, or something was enqueued the cycle before) must see
+        // the same completions, at the same cycles, as one that ticks it
+        // every cycle. The hard case: a write drain empties the write
+        // queue down to `drain_low` while the one busy bank keeps the
+        // model asleep, then a late write arrives. Stepping ends the drain
+        // on the first sleeping cycle, so the queued reads go first; a
+        // model that lost that hysteresis step would keep draining.
+        // Sweeping the late write's cycle covers every point of the sleep.
+        let cfg = small_cfg();
+        // Channel 0, bank 0, row `k`: every access conflicts.
+        let addr = |k: u64| k * 128 * 2 * 16 * 4;
+        let run = |late: u64, lazy: bool| {
+            let mut dram = DramModel::new(cfg.clone());
+            for k in 1..=cfg.drain_high as u64 {
+                dram.try_enqueue_write(k, addr(k), Cycle(0)).unwrap();
+            }
+            dram.try_enqueue_read(100, addr(20), Cycle(0)).unwrap();
+            dram.try_enqueue_read(101, addr(21), Cycle(0)).unwrap();
+            let mut wake = 0u64;
+            let mut out = Vec::new();
+            for c in 0..2_000u64 {
+                if !lazy || wake <= c {
+                    for done in dram.tick(Cycle(c)) {
+                        out.push((c, done.token));
+                    }
+                    wake = dram.next_event(Cycle(c)).map_or(u64::MAX, |n| n.0);
+                }
+                if c == late {
+                    dram.try_enqueue_write(200, addr(30), Cycle(c)).unwrap();
+                    wake = c + 1;
+                }
+            }
+            (out, dram.stats())
+        };
+        let mut orders = std::collections::HashSet::new();
+        for late in 1..400 {
+            let stepped = run(late, false);
+            assert_eq!(stepped.0.len(), 9, "late write at {late}");
+            assert_eq!(run(late, true), stepped, "late write at {late}");
+            orders.insert(stepped.0.iter().map(|&(_, t)| t).collect::<Vec<_>>());
+        }
+        // The sweep really straddles the drain's end: the late write is
+        // served before the reads for some cycles and after for others.
+        assert!(orders.len() > 1, "{orders:?}");
     }
 
     #[test]

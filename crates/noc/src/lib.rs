@@ -833,6 +833,17 @@ pub struct LinkNetwork {
     delivered: u64,
     // Reused per-link drain buffer for `tick_into`.
     drain_scratch: Vec<u64>,
+    // EQUIVALENCE: `min_arrival` is the minimum of every link's own
+    // `min_arrival` (`u64::MAX` when the fabric is empty). It is
+    // min-merged on every wire send (`send` and transit forwards) and
+    // rescanned only after a tick that drained something or after
+    // `fail_link` rewrote the routes, so it never exceeds the true
+    // earliest arrival. A tick with `now < min_arrival` would find every
+    // link's own cache in the future and deliver nothing, so returning
+    // early is exact, and `next_event` needs no scan over the links.
+    /// Earliest arrival over all links: `next_event` and an idle
+    /// `tick_into` cost O(1) instead of a scan over every edge.
+    min_arrival: u64,
     // --- fault-injection state (all zero in fault-free runs; the hot
     // path pays one compare per delivery when quiescent) ---
     // Per-edge flags: killed by an injected outage / currently throttled.
@@ -900,6 +911,7 @@ impl LinkNetwork {
             injected: 0,
             delivered: 0,
             drain_scratch: Vec::new(),
+            min_arrival: u64::MAX,
             dead: vec![false; num_edges],
             degraded: vec![false; num_edges],
             pending_drops: 0,
@@ -954,7 +966,7 @@ impl LinkNetwork {
         let e = self.first_hop(src, dst);
         self.injected += 1;
         if self.topo.single_hop {
-            self.links[e].send(token, bytes, now);
+            self.send_on(e, token, bytes, now);
         } else {
             let s = self.topo.endpoint_index(src) as u32;
             let d = self.topo.endpoint_index(dst) as u32;
@@ -964,8 +976,26 @@ impl LinkNetwork {
                 dst: d,
                 bytes,
             });
-            self.links[e].send(flow, bytes, now);
+            self.send_on(e, flow, bytes, now);
         }
+    }
+
+    /// Puts one wire token on link `e`, folding its arrival into the
+    /// network-wide horizon.
+    #[inline]
+    fn send_on(&mut self, e: usize, token: u64, bytes: u64, now: Cycle) {
+        self.links[e].send(token, bytes, now);
+        self.min_arrival = self.min_arrival.min(self.links[e].min_arrival);
+    }
+
+    /// Recomputes the network-wide horizon from every link's own cache.
+    fn rescan_min_arrival(&mut self) {
+        self.min_arrival = self
+            .links
+            .iter()
+            .map(|l| l.min_arrival)
+            .min()
+            .unwrap_or(u64::MAX);
     }
 
     /// Advances all links, returning every delivery due by `now`.
@@ -983,6 +1013,9 @@ impl LinkNetwork {
     /// new arrival is strictly in the future, so in-tick iteration order
     /// cannot observe it.
     pub fn tick_into(&mut self, now: Cycle, out: &mut Vec<Delivery>) {
+        if self.min_arrival > now.0 {
+            return;
+        }
         let mut scratch = std::mem::take(&mut self.drain_scratch);
         if self.topo.single_hop {
             for i in 0..self.links.len() {
@@ -1052,13 +1085,26 @@ impl LinkNetwork {
                             self.transit[at].1 += 1;
                             let next = self.topo.next_hop_edge(at, flow.dst as usize);
                             debug_assert!(next != NO_ROUTE, "transit node lost its route");
-                            self.links[next as usize].send(flow_token, flow.bytes, now);
+                            self.send_on(next as usize, flow_token, flow.bytes, now);
                         }
                     }
                 }
             }
         }
         self.drain_scratch = scratch;
+        self.rescan_min_arrival();
+    }
+
+    /// The network horizon recomputed by a fresh scan over every link,
+    /// bypassing the cached network-wide `min_arrival`. The sanitizer's
+    /// `wake-calendar` invariant compares it against
+    /// [`NextEvent::next_event`]; nothing on the tick path calls it.
+    pub fn scanned_next_event(&self, now: Cycle) -> Option<Cycle> {
+        let mut horizon: Option<Cycle> = None;
+        for link in &self.links {
+            horizon = earliest(horizon, link.next_event(now));
+        }
+        horizon
     }
 
     /// Consumes one armed packet drop, if any (fault injection).
@@ -1277,6 +1323,7 @@ impl LinkNetwork {
                 });
             }
         }
+        self.rescan_min_arrival();
         Ok(changed)
     }
 
@@ -1498,11 +1545,7 @@ impl NetSnapshot {
 
 impl NextEvent for LinkNetwork {
     fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        let mut horizon: Option<Cycle> = None;
-        for link in &self.links {
-            horizon = earliest(horizon, link.next_event(now));
-        }
-        horizon
+        (self.min_arrival != u64::MAX).then(|| Cycle(self.min_arrival.max(now.0 + 1)))
     }
 }
 
@@ -1743,6 +1786,56 @@ mod tests {
         assert_eq!(net.next_event(Cycle(120)), Some(Cycle(240)));
         assert_eq!(net.tick(Cycle(240)).len(), 1);
         assert_eq!(net.next_event(Cycle(240)), None);
+    }
+
+    #[test]
+    fn network_horizon_matches_a_fresh_link_scan() {
+        // The cached network-wide `min_arrival` must equal a scan over
+        // every link through sends, multi-hop forwards, drains and a
+        // mid-flight outage, and skipping a tick before it must lose no
+        // delivery.
+        let topo = Topology::build(
+            TopologySpec::Hierarchical { pod_size: 4 },
+            16,
+            8.0,
+            40,
+            4.0,
+            80,
+        )
+        .expect("valid");
+        let mut net = LinkNetwork::from_topology(topo).expect("valid");
+        let mut delivered = 0;
+        let mut token = 0u64;
+        let mut now = 0u64;
+        while now < 3_000 {
+            if now.is_multiple_of(37) && now < 2_000 {
+                for g in 0..16 {
+                    token += 1;
+                    let dst = (g * 7 + now as usize / 37 + 1) % 16;
+                    if dst != g {
+                        net.send(NodeId::Gpu(g), NodeId::Gpu(dst), token, 160, Cycle(now));
+                    }
+                }
+            }
+            if now == 500 {
+                net.fail_link(3, Cycle(now))
+                    .expect("hier4 survives one outage");
+            }
+            assert_eq!(
+                net.next_event(Cycle(now)),
+                net.scanned_next_event(Cycle(now)),
+                "cycle {now}"
+            );
+            delivered += net.tick(Cycle(now)).len();
+            // Jump like the event-skip engine, but stop at each send cycle.
+            let next_send = (now / 37 + 1) * 37;
+            now = net
+                .next_event(Cycle(now))
+                .map_or(next_send, |c| c.0.min(next_send));
+        }
+        assert!(net.is_idle() && delivered > 500);
+        assert_eq!(net.next_event(Cycle(now)), None);
+        assert_eq!(net.message_counts(), (delivered as u64, delivered as u64));
     }
 
     #[test]

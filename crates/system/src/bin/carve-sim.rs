@@ -298,6 +298,12 @@ fn summary_line(r: &SimResult, wall: std::time::Duration) -> String {
         line.push(' ');
         line.push_str(&p.stall_summary(3));
     }
+    // Deterministic engine work, e.g. `work: ticks=5120 core=1830/20480
+    // dram=990/20480 skipped=93.1%` (executed/possible visits).
+    if let Some(w) = &r.work {
+        line.push(' ');
+        line.push_str(&w.summary());
+    }
     line
 }
 

@@ -38,6 +38,7 @@ pub mod design;
 pub mod metrics;
 mod sanitize;
 pub mod sim;
+mod wake;
 
 pub use chaos::{ChaosFixture, ChaosOutcome, ChaosScenario};
 pub use design::{Design, SimConfig};
@@ -46,6 +47,7 @@ pub use sim::{
     run, run_with_profile, run_with_profile_mode, try_run, try_run_observed, try_run_with_profile,
     try_run_with_profile_mode, EngineMode,
 };
+pub use wake::WorkCounters;
 
 // Re-exports so experiment binaries need only this crate.
 pub use carve_runtime::sharing::{profile_workload, SharingProfile};

@@ -1,6 +1,7 @@
 //! Results of one simulation run.
 
 use crate::design::Design;
+use crate::wake::WorkCounters;
 use carve::RdcStats;
 use carve_dram::DramStats;
 use sim_core::profile::ProfileReport;
@@ -78,6 +79,12 @@ pub struct SimResult {
     /// a campaign point lives in its *key*, not its result line — so
     /// results decoded from a journal carry `None`.
     pub recovery: Option<RecoverySnapshot>,
+    /// Deterministic engine work counters (ticks executed, core and DRAM
+    /// visits executed vs skipped by the wake calendar). Present on every
+    /// simulated result; like the timeline it is excluded from the
+    /// 36-field journal encoding, since it measures the engine rather
+    /// than the simulated machine, so decoded results carry `None`.
+    pub work: Option<WorkCounters>,
 }
 
 impl SimResult {
@@ -292,6 +299,7 @@ impl SimResult {
             timeline: None,
             profile: None,
             recovery: None,
+            work: None,
         })
     }
 }
@@ -329,6 +337,7 @@ mod tests {
             timeline: None,
             profile: None,
             recovery: None,
+            work: None,
         }
     }
 

@@ -44,6 +44,11 @@
 //!   arrival (nothing dropped inside the fabric).
 //! * `dram-timing` — forwarded from [`carve_dram::TimingAudit`] (bus
 //!   overlap, bank recovery, row-hit legality, CAS floor).
+//! * `wake-calendar` — every core, DRAM and CPU memory the wake calendar
+//!   skips at a tick, and the network when its cached horizon says nothing
+//!   is due, must report no event at or before that tick by a fresh
+//!   query: a mutation that bypassed the calendar's touch rule is caught
+//!   at the first tick its component would have acted in.
 
 use std::collections::{HashMap, HashSet};
 
@@ -546,6 +551,22 @@ impl Sanitizer {
                 return;
             }
         }
+    }
+
+    /// A component the wake calendar skips at `cycle` has an event due
+    /// by then.
+    pub(crate) fn on_calendar_miss(&mut self, component: &str, cycle: u64) {
+        if self.violation.is_some() {
+            return;
+        }
+        self.fail(
+            "wake-calendar",
+            cycle,
+            format!(
+                "{component} has an event due by cycle {cycle} but the wake calendar \
+                 skips it (a mutation bypassed the touch rule)"
+            ),
+        );
     }
 
     /// Forwards a latched DRAM timing-audit breach.

@@ -3,10 +3,13 @@
 //! [`run`] builds the machine described by a [`SimConfig`], executes every
 //! kernel of the workload, and reports a [`SimResult`]. Time advances with
 //! an event-horizon engine: every component implements
-//! [`sim_core::NextEvent`], and the loop jumps `now` to the earliest
-//! reported event instead of polling every cycle — bit-identical to the
-//! step-by-1 engine ([`EngineMode::Step`], forced by setting the
-//! `CARVE_STEP` environment variable), just without the no-op ticks. The
+//! [`sim_core::NextEvent`], a wake calendar caches each core's and DRAM's
+//! horizon so a tick visits only the components that are due, and the
+//! loop jumps `now` to the earliest cached horizon instead of polling
+//! every cycle — bit-identical to the step-by-1 engine
+//! ([`EngineMode::Step`], forced by setting the `CARVE_STEP` environment
+//! variable, which visits every component every cycle), just without the
+//! no-op ticks. The
 //! system crate owns everything *between* the GPU cores: DRAM, the RDC carve-outs and
 //! their coherence, the link fabric, CPU memory, and the runtime page
 //! table. All routing happens here, so the per-design differences are
@@ -33,7 +36,7 @@ use carve_runtime::page_table::{PageMigration, PageTable};
 use carve_runtime::sched::cta_range_of_gpu;
 use carve_runtime::sharing::{profile_workload, SharingProfile};
 use carve_trace::WorkloadSpec;
-use sim_core::event::{earliest, NextEvent};
+use sim_core::event::NextEvent;
 use sim_core::fast::{FastSet, Slab, TagTable};
 use sim_core::profile::{ProfileReport, StallCat, StallLedger};
 use sim_core::telemetry::{self, IntervalRecord, NullTraceSink, Timeline, TraceEvent, TraceSink};
@@ -42,6 +45,7 @@ use sim_core::{Cycle, FaultEvent, FaultKind, RecoverySnapshot, ScaledConfig, Sim
 use crate::design::{Design, SimConfig};
 use crate::metrics::SimResult;
 use crate::sanitize::{Sanitizer, Violation};
+use crate::wake::WakeCalendar;
 
 /// Base address of the RDC carve-out in each GPU's physical space; far
 /// above any workload VA so probe/fill traffic shares DRAM channels with
@@ -197,6 +201,15 @@ struct System {
     delayed: BinaryHeap<Reverse<(u64, u64)>>, // (due cycle, token); state: shared
     ext_retry: Vec<VecDeque<(u64, u64)>>, // per home: (token, line); state: gpu-local
     dram_retry: Vec<VecDeque<u64>>, // per gpu: write addresses; state: gpu-local
+    /// Entries queued across `ext_retry` and `dram_retry`, so an empty
+    /// backlog costs one compare per tick instead of a per-GPU scan.
+    retries: usize, // state: shared (global counter)
+    /// Cached per-component horizons (DESIGN.md §3): which cores and
+    /// DRAMs the next tick visits, and where the event-skip engine jumps.
+    /// All system-side `&mut` access to a core, DRAM or CPU memory goes
+    /// through [`System::core_mut`] / [`System::dram_mut`] /
+    /// [`System::cpu_mem_mut`], which reschedule the component.
+    cal: WakeCalendar, // state: shared (engine bookkeeping; never feeds protocol)
     traffic: Traffic,              // state: shared (global counters)
     migrations_buf: Vec<PageMigration>, // state: shared (global migration queue)
     /// Per requester GPU, keyed by the core's miss tag: issue cycle of the
@@ -230,7 +243,12 @@ struct System {
 }
 
 impl System {
-    fn build(spec: &WorkloadSpec, sim: &SimConfig, profile: Option<&SharingProfile>) -> System {
+    fn build(
+        spec: &WorkloadSpec,
+        sim: &SimConfig,
+        profile: Option<&SharingProfile>,
+        mode: EngineMode,
+    ) -> System {
         let mut cfg = sim.cfg.clone();
         cfg.num_gpus = sim.design.num_gpus(&sim.cfg);
         let num_gpus = cfg.num_gpus;
@@ -344,6 +362,8 @@ impl System {
             delayed: BinaryHeap::new(),
             ext_retry: (0..num_gpus).map(|_| VecDeque::new()).collect(),
             dram_retry: (0..num_gpus).map(|_| VecDeque::new()).collect(),
+            retries: 0,
+            cal: WakeCalendar::new(num_gpus, mode == EngineMode::Step),
             traffic: Traffic::default(),
             migrations_buf: Vec::new(),
             issue_time: (0..num_gpus).map(|_| TagTable::new()).collect(),
@@ -358,6 +378,27 @@ impl System {
             cfg,
             prof_invalidated: None,
         }
+    }
+
+    /// Mutable access to GPU `g`'s core. The only system-side way to
+    /// mutate a core: it marks the core due, so a core changed before its
+    /// phase is ticked in that phase and every changed core gets a fresh
+    /// horizon when the tick ends.
+    fn core_mut(&mut self, g: usize) -> &mut GpuCore {
+        self.cal.touch_core(g);
+        &mut self.cores[g]
+    }
+
+    /// [`System::core_mut`] for GPU `g`'s DRAM.
+    fn dram_mut(&mut self, g: usize) -> &mut DramModel {
+        self.cal.touch_dram(g);
+        &mut self.drams[g]
+    }
+
+    /// [`System::core_mut`] for CPU memory.
+    fn cpu_mem_mut(&mut self) -> &mut FlatMemory {
+        self.cal.touch_cpu();
+        &mut self.cpu_mem
     }
 
     /// Arms the profiler's invalidated-line tracking (cause attribution
@@ -463,7 +504,7 @@ impl System {
                     f.recovery.outages += 1;
                 }
                 FaultKind::DramTransient { gpu, count } => {
-                    self.drams[gpu as usize].inject_transient_faults(count);
+                    self.dram_mut(gpu as usize).inject_transient_faults(count);
                 }
                 FaultKind::PacketDrop { count } => self.net.inject_packet_drops(count),
                 FaultKind::ForwardDrop { count } => self.net.inject_forward_drops(count),
@@ -526,7 +567,7 @@ impl System {
         if let Some(t0) = self.issue_time[gpu].remove(tag) {
             self.read_latency.record(now.0.saturating_sub(t0));
         }
-        self.cores[gpu].complete_miss(tag, now);
+        self.core_mut(gpu).complete_miss(tag, now);
     }
 
     fn rdc_probe_addr(&self, gpu: usize, line: u64) -> u64 {
@@ -538,8 +579,13 @@ impl System {
     /// Posts a DRAM write, falling back to the retry queue when full.
     fn dram_write_best_effort(&mut self, gpu: usize, addr: u64, now: Cycle) {
         let token = self.pending.untracked_token();
-        if self.drams[gpu].try_enqueue_write(token, addr, now).is_err() {
+        if self
+            .dram_mut(gpu)
+            .try_enqueue_write(token, addr, now)
+            .is_err()
+        {
             self.dram_retry[gpu].push_back(addr);
+            self.retries += 1;
         }
     }
 
@@ -578,13 +624,13 @@ impl System {
                 san.on_rdc_invalidate(target, line, carve.rdc(target).contains(line), now.0);
             }
         }
-        self.cores[target].invalidate_line(line);
+        self.core_mut(target).invalidate_line(line);
     }
 
     /// A remote write has (logically) reached its home node.
     // tick-context: home
     fn write_at_home(&mut self, home: usize, line: u64, writer: usize, now: Cycle) {
-        self.cores[home].external_write(line);
+        self.core_mut(home).external_write(line);
         self.dram_write_best_effort(home, line, now);
         let Some(carve) = self.carve.as_mut() else {
             return;
@@ -615,7 +661,7 @@ impl System {
                         gpu: g,
                         tag: req.tag,
                     });
-                    self.drams[g]
+                    self.dram_mut(g)
                         .try_enqueue_read(token, req.line_addr, now)
                         // audit:allow(tick-path-panics) guarded by can_accept_read in the same branch
                         .expect("capacity checked");
@@ -661,7 +707,7 @@ impl System {
                             line: req.line_addr,
                             home: h,
                         });
-                        self.drams[g]
+                        self.dram_mut(g)
                             .try_enqueue_read(token, probe_addr, now)
                             // audit:allow(tick-path-panics) guarded by can_accept_read in the same branch
                             .expect("capacity checked");
@@ -692,7 +738,7 @@ impl System {
                             line: req.line_addr,
                             home: usize::MAX, // sentinel: CPU home
                         });
-                        self.drams[g]
+                        self.dram_mut(g)
                             .try_enqueue_read(token, probe_addr, now)
                             // audit:allow(tick-path-panics) guarded by can_accept_read in the same branch
                             .expect("capacity checked");
@@ -732,7 +778,7 @@ impl System {
                     let token = self.pending.untracked_token();
                     self.net
                         .send(me, NodeId::Cpu, token, msg::WRITE_DATA_BYTES, now);
-                    self.cpu_mem.enqueue(token, true, now);
+                    self.cpu_mem_mut().enqueue(token, true, now);
                     self.traffic.remote += 1;
                     self.traffic.cpu += 1;
                     true
@@ -743,7 +789,7 @@ impl System {
                     return false;
                 }
                 let token = self.pending.untracked_token();
-                self.drams[g]
+                self.dram_mut(g)
                     .try_enqueue_write(token, req.line_addr, now)
                     // audit:allow(tick-path-panics) guarded by can_accept_write in the same branch
                     .expect("capacity checked");
@@ -806,8 +852,19 @@ impl System {
     fn handle_dram_completions(&mut self, now: Cycle) {
         let mut comps = std::mem::take(&mut self.comp_scratch);
         for g in 0..self.num_gpus {
+            // EQUIVALENCE: a DRAM whose slot is in the future has every
+            // channel's `min_finish` and `issue_floor` in the future (its
+            // slot is their minimum), so its tick would deliver and issue
+            // nothing; the one step it would run, write-drain hysteresis,
+            // is replayed lazily and exactly at the next enqueue or tick
+            // (DramModel's `hyst_next`, DESIGN.md §10).
+            if self.cal.dram[g] > now.0 {
+                self.cal.work.dram_skips += 1;
+                continue;
+            }
+            self.cal.work.dram_visits += 1;
             comps.clear();
-            self.drams[g].tick_into(now, &mut comps);
+            self.dram_mut(g).tick_into(now, &mut comps);
             for &comp in &comps {
                 if comp.is_write {
                     continue;
@@ -890,9 +947,14 @@ impl System {
     }
 
     fn handle_cpu_mem(&mut self, now: Cycle) {
+        // EQUIVALENCE: a future slot means nothing in service finishes by
+        // `now`, so the tick would deliver nothing.
+        if self.cal.cpu > now.0 {
+            return;
+        }
         let mut comps = std::mem::take(&mut self.comp_scratch);
         comps.clear();
-        self.cpu_mem.tick_into(now, &mut comps);
+        self.cpu_mem_mut().tick_into(now, &mut comps);
         for &comp in &comps {
             if comp.is_write {
                 continue;
@@ -982,8 +1044,9 @@ impl System {
                             phase: RemotePhase::AtHome,
                             cause,
                         };
-                    if self.cores[home].external_read(d.token, line).is_err() {
+                    if self.core_mut(home).external_read(d.token, line).is_err() {
                         self.ext_retry[home].push_back((d.token, line));
+                        self.retries += 1;
                     }
                 }
                 Pending::RemoteRead {
@@ -1043,7 +1106,7 @@ impl System {
                         tag,
                         phase: RemotePhase::AtHome,
                     };
-                    self.cpu_mem.enqueue(d.token, false, now);
+                    self.cpu_mem_mut().enqueue(d.token, false, now);
                 }
                 Pending::CpuRead {
                     gpu,
@@ -1121,10 +1184,14 @@ impl System {
     }
 
     fn handle_retries(&mut self, now: Cycle) {
+        if self.retries == 0 {
+            return;
+        }
         for g in 0..self.num_gpus {
             while let Some(&(token, line)) = self.ext_retry[g].front() {
-                if self.cores[g].external_read(token, line).is_ok() {
+                if self.core_mut(g).external_read(token, line).is_ok() {
                     self.ext_retry[g].pop_front();
+                    self.retries -= 1;
                 } else {
                     break;
                 }
@@ -1132,11 +1199,12 @@ impl System {
             while let Some(&addr) = self.dram_retry[g].front() {
                 if self.drams[g].can_accept_write(addr) {
                     let token = self.pending.untracked_token();
-                    self.drams[g]
+                    self.dram_mut(g)
                         .try_enqueue_write(token, addr, now)
                         // audit:allow(tick-path-panics) guarded by can_accept_write in the same branch
                         .expect("capacity checked");
                     self.dram_retry[g].pop_front();
+                    self.retries -= 1;
                 } else {
                     break;
                 }
@@ -1158,43 +1226,69 @@ impl System {
                 .send(m.from, NodeId::Gpu(m.to), token, self.cfg.page_size, now);
             // exchange: page migration shoots down every GPU's TLB — a
             // deliberate broadcast over all cores, serialized here.
-            for core in &mut self.cores {
-                core.shootdown(m.page);
+            for g in 0..self.num_gpus {
+                self.core_mut(g).shootdown(m.page);
             }
             self.traffic.migrations += 1;
         }
         self.migrations_buf = migrations;
     }
 
+    /// One engine tick at `now`: the fixed phase order, each phase
+    /// visiting only the components the wake calendar has due (every
+    /// component under [`EngineMode::Step`]), then a fresh horizon for
+    /// every component ticked or touched.
     fn tick(&mut self, now: Cycle) {
+        if self.san.is_some() {
+            self.audit_wake_calendar(now);
+        }
+        self.cal.work.ticks += 1;
         self.handle_dram_completions(now);
         self.handle_cpu_mem(now);
         self.handle_deliveries(now);
         self.handle_delayed(now);
         self.handle_retries(now);
         // GPU cores issue and service.
-        {
-            for g in 0..self.num_gpus {
-                let mut xl = SystemXl {
-                    pt: &mut self.pt,
-                    migrations: &mut self.migrations_buf,
-                };
-                let fabric = NetFabric { net: &self.net };
-                self.cores[g].tick(now, &mut xl, &fabric);
+        for g in 0..self.num_gpus {
+            // EQUIVALENCE: a core whose slot is in the future has every
+            // non-empty L2 bank busy past `now`, an empty outbox and
+            // external-done list, and every SM's cached event minimum in
+            // the future, so each bank and each SM `step` returns at its
+            // first check: the skipped tick is a no-op.
+            if self.cal.core[g] > now.0 {
+                self.cal.work.core_skips += 1;
+                continue;
             }
+            self.cal.work.core_visits += 1;
+            self.cal.touch_core(g);
+            let mut xl = SystemXl {
+                pt: &mut self.pt,
+                migrations: &mut self.migrations_buf,
+            };
+            let fabric = NetFabric { net: &self.net };
+            self.cores[g].tick(now, &mut xl, &fabric);
         }
         self.process_migrations(now);
         // Home-side external reads that completed in the cores, drained
         // through a reused scratch buffer (the heap is order-insensitive).
+        // Only cores ticked or touched this tick (slot 0) can hold any:
+        // both producers, the core tick and `complete_miss`, mark it.
         for g in 0..self.num_gpus {
-            self.cores[g].drain_external_done_into(&mut self.ext_done_scratch);
+            if self.cal.core[g] == 0 {
+                self.cores[g].drain_external_done_into(&mut self.ext_done_scratch);
+            }
         }
         for &(token, at) in &self.ext_done_scratch {
             self.delayed.push(Reverse((at.0, token)));
         }
         self.ext_done_scratch.clear();
-        // Drain outboxes with head-of-line back-pressure.
+        // Drain outboxes with head-of-line back-pressure, in GPU order. A
+        // non-empty outbox pins its core's horizon to the next cycle, so
+        // every core holding one was ticked (slot 0) this tick.
         for g in 0..self.num_gpus {
+            if self.cal.core[g] != 0 {
+                continue;
+            }
             while let Some(&req) = self.cores[g].outbox_front() {
                 if self.try_route(g, req, now) {
                     self.cores[g].outbox_pop();
@@ -1202,6 +1296,40 @@ impl System {
                     break;
                 }
             }
+        }
+        self.cal
+            .reschedule(now, &self.cores, &self.drams, &self.cpu_mem);
+    }
+
+    /// The sanitizer's `wake-calendar` invariant, checked before the tick
+    /// at `now`: every core, DRAM and CPU memory the calendar is about to
+    /// skip, and the network when its cached horizon says it has nothing
+    /// due, must
+    /// report (by a fresh query) no event at or before `now`. A mutation
+    /// that bypassed the touch rule shows up here at the first tick its
+    /// component would have acted in.
+    fn audit_wake_calendar(&mut self, now: Cycle) {
+        let Some(prev) = now.0.checked_sub(1).map(Cycle) else {
+            return;
+        };
+        let due = |h: Option<Cycle>| h.is_some_and(|c| c <= now);
+        let mut missed: Option<String> = None;
+        for g in 0..self.num_gpus {
+            if self.cal.core[g] > now.0 && due(self.cores[g].next_event(prev)) {
+                missed.get_or_insert_with(|| format!("gpu {g} core"));
+            }
+            if self.cal.dram[g] > now.0 && due(self.drams[g].next_event(prev)) {
+                missed.get_or_insert_with(|| format!("gpu {g} DRAM"));
+            }
+        }
+        if self.cal.cpu > now.0 && due(self.cpu_mem.next_event(prev)) {
+            missed.get_or_insert_with(|| "CPU memory".to_string());
+        }
+        if !due(self.net.next_event(prev)) && due(self.net.scanned_next_event(prev)) {
+            missed.get_or_insert_with(|| "network".to_string());
+        }
+        if let (Some(what), Some(san)) = (missed, self.san.as_deref_mut()) {
+            san.on_calendar_miss(&what, now.0);
         }
     }
 
@@ -1212,19 +1340,21 @@ impl System {
             && self.drams.iter().all(DramModel::is_idle)
             && self.net.is_idle()
             && self.cpu_mem.is_idle()
-            && self.ext_retry.iter().all(VecDeque::is_empty)
-            && self.dram_retry.iter().all(VecDeque::is_empty)
+            && self.retries == 0
     }
 
-    // EQUIVALENCE: `next_activity` aggregates per-component `NextEvent`
-    // horizons, each of which under-approximates its next interesting
+    // EQUIVALENCE: `next_activity` is the minimum over cached horizons:
+    // the wake calendar's per-core, per-DRAM and CPU-memory slots (each a
+    // `NextEvent` horizon taken when the component last ticked or was
+    // touched, and unchanged since because every mutation touches), the
+    // network's own `min_arrival`, the delayed heap's head and the fault
+    // schedule. Each under-approximates its component's next interesting
     // cycle (retry queues pin the horizon to `now + 1`, preserving the
-    // stepping engine's every-cycle retry cadence). Jumping `now` to the
-    // aggregate minimum therefore skips only ticks where `tick()` would
-    // have been a no-op for every component, so the event-skip engine
-    // retires the same work at the same cycles as stepping —
-    // `skip_engine_matches_step_engine_on_a_quick_run` and the golden
-    // fixtures (both engines) pin this bit-for-bit.
+    // stepping engine's every-cycle retry cadence), so jumping `now` to
+    // the minimum skips only ticks where `tick()` would have been a no-op
+    // for every component, and the event-skip engine retires the same
+    // work at the same cycles as stepping — the golden fixtures (both
+    // engines) and the cross-engine scale tests pin this bit-for-bit.
     /// The event-skipping engine's horizon: the earliest future cycle at
     /// which any component can act (see [`NextEvent`]). Returns `None`
     /// only when the system will never act again without a kernel launch.
@@ -1232,45 +1362,32 @@ impl System {
         let floor = now.0 + 1;
         // Retry queues are re-attempted every cycle in the stepping
         // engine; keep that cadence so retries land on the same cycle.
-        if self.ext_retry.iter().any(|q| !q.is_empty())
-            || self.dram_retry.iter().any(|q| !q.is_empty())
-        {
+        if self.retries > 0 {
             return Some(Cycle(floor));
         }
-        // The floor is the lowest horizon any component can report, so the
-        // fold short-circuits the moment it is reached — during busy phases
-        // (some SM always ready) this keeps the skip engine's per-cycle
-        // overhead to roughly one core scan.
-        let mut horizon: Option<Cycle> = None;
-        for core in &self.cores {
-            horizon = earliest(horizon, core.next_event(now));
-            if horizon == Some(Cycle(floor)) {
-                return horizon;
-            }
+        let cached = self.cal.earliest();
+        let mut horizon = (cached != u64::MAX).then_some(cached);
+        let mut fold = |at: u64| horizon = Some(horizon.map_or(at, |h| h.min(at)));
+        if let Some(c) = self.net.next_event(now) {
+            fold(c.0);
         }
-        for dram in &self.drams {
-            horizon = earliest(horizon, dram.next_event(now));
-            if horizon == Some(Cycle(floor)) {
-                return horizon;
-            }
-        }
-        horizon = earliest(horizon, self.net.next_event(now));
-        horizon = earliest(horizon, self.cpu_mem.next_event(now));
         if let Some(&Reverse((due, _))) = self.delayed.peek() {
-            horizon = earliest(horizon, Some(Cycle(due.max(floor))));
+            fold(due);
         }
         // Fault schedule: the next unapplied event and the end of any
         // freeze window must be hit at their exact cycles, or the two
         // engines would apply/unfreeze at different times.
         if let Some(f) = self.faults.as_deref() {
             if let Some(&FaultEvent { at, .. }) = f.events.get(f.cursor) {
-                horizon = earliest(horizon, Some(Cycle(at.max(floor))));
+                fold(at);
             }
             if f.frozen_until != u64::MAX && f.frozen_until > now.0 {
-                horizon = earliest(horizon, Some(Cycle(f.frozen_until)));
+                fold(f.frozen_until);
             }
         }
-        horizon
+        // Past horizons (slots touched during a freeze read 0) mean "due
+        // at the next cycle".
+        horizon.map(|h| Cycle(h.max(floor)))
     }
 
     /// Monotonic count of progress events: retired warp instructions,
@@ -1372,11 +1489,11 @@ impl System {
             if self.design.flushes_llc_at_boundary() {
                 // Dirty victims appear only when pages migrated here after
                 // their lines were cached as remote; flush them to DRAM.
-                for line in self.cores[g].software_flush() {
+                for line in self.core_mut(g).software_flush() {
                     self.dram_write_best_effort(g, line, now);
                 }
             } else {
-                self.cores[g].invalidate_l1s();
+                self.core_mut(g).invalidate_l1s();
             }
         }
         if let Some(carve) = self.carve.as_mut() {
@@ -1420,9 +1537,12 @@ impl System {
 /// verification and debugging.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineMode {
-    /// Jump `now` to the minimum [`NextEvent`] horizon across components.
+    /// Tick only the components the wake calendar has due, and jump
+    /// `now` to the minimum cached [`NextEvent`] horizon.
     EventSkip,
-    /// Advance `now` one cycle at a time (the original engine).
+    /// Advance `now` one cycle at a time and visit every component every
+    /// cycle, bypassing the calendar: the oracle `EventSkip` is tested
+    /// against.
     Step,
 }
 
@@ -1892,7 +2012,7 @@ pub fn try_run_observed(
         }
         None => None,
     };
-    let mut sys = System::build(spec, sim, profile);
+    let mut sys = System::build(spec, sim, profile, mode);
     let mut now = 0u64;
     let mut watchdog = match sim.watchdog_cycles {
         Some(n) => Watchdog::with_budget((n != 0).then_some(n)),
@@ -1957,7 +2077,7 @@ pub fn try_run_observed(
         }
         for g in 0..num_gpus {
             let (start, end) = cta_range_of_gpu(g, spec.shape.ctas, num_gpus);
-            sys.cores[g].launch_kernel(kernel, start..end);
+            sys.core_mut(g).launch_kernel(kernel, start..end);
         }
         now += sim.kernel_launch_cycles;
         // The launch jump crosses cycles no component could act in; reset
@@ -2220,6 +2340,7 @@ pub fn try_run_observed(
         timeline,
         profile: cycle_profile,
         recovery: sys.recovery_snapshot(Cycle(now)),
+        work: Some(sys.cal.work),
     };
     Ok(result)
 }
@@ -2672,7 +2793,7 @@ mod tests {
     fn rdc_probe_addresses_stay_in_carve_out() {
         let spec = quick_spec("Lulesh");
         let sim = SimConfig::with_cfg(Design::CarveHwc, quick_cfg());
-        let sys = System::build(&spec, &sim, None);
+        let sys = System::build(&spec, &sim, None, EngineMode::EventSkip);
         for gpu in 0..sys.num_gpus {
             for line in [0u64, 0x80, 0xFFF80, 1 << 30] {
                 let addr = sys.rdc_probe_addr(gpu, line);
@@ -2682,6 +2803,67 @@ mod tests {
         }
     }
 
+    /// Drives `sys` with the event-skip discipline from cycle `now` until
+    /// it drains; returns the last ticked cycle or the first sanitizer
+    /// violation.
+    fn drive(sys: &mut System, mut now: u64) -> Result<u64, SimError> {
+        loop {
+            sys.tick(Cycle(now));
+            if let Some(err) = sys.sanitizer_poll(Cycle(now)) {
+                return Err(err);
+            }
+            if sys.quiescent() {
+                return Ok(now);
+            }
+            now = sys.next_activity(Cycle(now)).map_or(now + 1, |c| c.0);
+            assert!(now < 1_000_000, "run did not drain");
+        }
+    }
+
+    #[test]
+    fn wake_calendar_invariant_catches_a_dropped_touch() {
+        let spec = quick_spec("Lulesh");
+        let sim = SimConfig::with_cfg(Design::NumaGpu, quick_cfg());
+        // GPU 0 runs a few CTAs and drains; every other component is then
+        // parked at a `u64::MAX` wake slot.
+        let drained = || {
+            let mut sys = System::build(&spec, &sim, None, EngineMode::EventSkip);
+            sys.enable_sanitizer();
+            sys.core_mut(0).launch_kernel(0, 0..4);
+            let end = drive(&mut sys, 0).expect("a touched launch runs clean");
+            (sys, end)
+        };
+        let expect_miss = |sys: &mut System, end: u64, what: &str| match drive(sys, end + 1)
+            .expect_err("a dropped touch must be caught")
+        {
+            SimError::SanitizerViolation {
+                invariant,
+                cycle,
+                detail,
+            } => {
+                assert_eq!(invariant, "wake-calendar");
+                assert_eq!(cycle, end + 1, "caught at the first due tick");
+                assert!(detail.contains(what), "{detail}");
+            }
+            other => panic!("expected a wake-calendar violation, got {other}"),
+        };
+        // Control: handing GPU 1 work through the accessor stays clean.
+        let (mut sys, end) = drained();
+        sys.core_mut(1).launch_kernel(0, 4..8);
+        drive(&mut sys, end + 1).expect("a touched core runs clean");
+        // Seeded violation: the same hand-over with the touch dropped.
+        let (mut sys, end) = drained();
+        sys.cores[1].launch_kernel(0, 4..8);
+        expect_miss(&mut sys, end, "gpu 1 core");
+        // And a DRAM enqueue that bypasses `dram_mut`.
+        let (mut sys, end) = drained();
+        let token = sys.pending.untracked_token();
+        sys.drams[2]
+            .try_enqueue_read(token, 0x1000, Cycle(end))
+            .expect("empty queue");
+        expect_miss(&mut sys, end, "gpu 2 DRAM");
+    }
+
     #[test]
     fn tokens_are_unique_and_allocation_ordered() {
         // The delayed-response heap breaks due-cycle ties on the token, so
@@ -2689,7 +2871,7 @@ mod tests {
         // order — for tracked and untracked mints alike.
         let spec = quick_spec("Lulesh");
         let sim = SimConfig::with_cfg(Design::NumaGpu, quick_cfg());
-        let mut sys = System::build(&spec, &sim, None);
+        let mut sys = System::build(&spec, &sim, None, EngineMode::EventSkip);
         let mut last = 0u64;
         for i in 0..1000 {
             let token = if i % 3 == 0 {

@@ -276,6 +276,14 @@ fn run_with_profile_prints_top_stalls_without_changing_the_report() {
         prof_err.contains("stalls:"),
         "profiled summary lacks the stall breakdown:\n{prof_err}"
     );
+    // The engine's deterministic work counters ride at the end of the
+    // summary line, identical with or without the observe-only profiler.
+    let work = |err: &str| {
+        err.lines()
+            .find_map(|l| l.split_once(" work: ticks=").map(|(_, w)| w.to_string()))
+            .unwrap_or_else(|| panic!("summary lacks the work counters:\n{err}"))
+    };
+    assert_eq!(work(&plain_err), work(&prof_err));
 }
 
 fn workspace_root() -> &'static std::path::Path {
