@@ -7,10 +7,11 @@
 //! lives in, not whether it is well-typed:
 //!
 //! * [`tick-path-collections`] — the per-cycle datapath (`system::sim`,
-//!   `gpu::sm`, `dram`, `noc`, `cache::mshr`, `carve::*`) must use
-//!   `sim_core::fast` lookup structures. `HashMap`/`HashSet`/`BTreeMap`/
-//!   `BTreeSet` carry SipHash cost and (for the hash maps) nondeterministic
-//!   iteration order that would poison the bit-identical journals.
+//!   `system::pending`, `gpu::sm`, `dram`, `noc`, `cache::mshr`,
+//!   `carve::*`) must use `sim_core::fast` lookup structures.
+//!   `HashMap`/`HashSet`/`BTreeMap`/`BTreeSet` carry SipHash cost and (for
+//!   the hash maps) nondeterministic iteration order that would poison the
+//!   bit-identical journals.
 //!   `VecDeque`/`BinaryHeap` are deterministic and stay allowed.
 //! * [`wall-clock`] — crates whose state feeds journal lines must not read
 //!   `SystemTime`/`Instant` or OS randomness (`thread_rng`): simulated
@@ -146,6 +147,7 @@ impl fmt::Display for Diagnostic {
 /// and panic discipline are load-bearing.
 fn is_tick_path(rel: &str) -> bool {
     rel == "crates/system/src/sim.rs"
+        || rel == "crates/system/src/pending.rs"
         || rel == "crates/gpu/src/sm.rs"
         || rel == "crates/dram/src/lib.rs"
         || rel == "crates/noc/src/lib.rs"

@@ -90,16 +90,6 @@ pub struct CoreSnapshot {
 }
 
 impl CoreSnapshot {
-    /// Occupied warp slots across all SMs.
-    pub fn active_warps(&self) -> usize {
-        self.sms.iter().map(|s| s.active_warps).sum()
-    }
-
-    /// Warps waiting on memory across all SMs.
-    pub fn waiting_mem_warps(&self) -> usize {
-        self.sms.iter().map(|s| s.waiting_mem).sum()
-    }
-
     /// Human-readable lines naming every occupied structure (empty when
     /// the core is fully idle). Used verbatim in watchdog stall reports.
     pub fn occupancy_report(&self) -> Vec<String> {
@@ -583,6 +573,21 @@ impl GpuCore {
     /// Number of outstanding L2 fills.
     pub fn mshr_outstanding(&self) -> usize {
         self.mshr.len()
+    }
+
+    /// Requests backed up in the outbox.
+    pub fn outbox_backlog(&self) -> usize {
+        self.outbox.len()
+    }
+
+    /// Occupied warp slots across all SMs.
+    pub fn active_warps(&self) -> usize {
+        self.sms.iter().map(Sm::active_warps).sum()
+    }
+
+    /// Warps waiting on memory across all SMs.
+    pub fn warps_waiting_mem(&self) -> usize {
+        self.sms.iter().map(Sm::warps_waiting_mem).sum()
     }
 
     /// True when the outbox to the fabric is at capacity (back-pressure).

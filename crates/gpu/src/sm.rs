@@ -158,6 +158,9 @@ pub struct Sm {
     /// Non-vacant slot count, so the per-tick [`Sm::is_idle`] checks cost
     /// O(1) instead of a slot scan.
     occupied: usize,
+    /// `WaitingMem` slot count, kept by [`Sm::set_phase`] so the
+    /// profiler's per-tick [`Sm::warps_waiting_mem`] is O(1).
+    waiting_mem: usize,
 }
 
 impl Sm {
@@ -181,7 +184,18 @@ impl Sm {
             stats: SmStats::default(),
             event_cache: std::cell::Cell::new(EventCache::Dirty),
             occupied: 0,
+            waiting_mem: 0,
         }
+    }
+
+    /// Moves warp `idx` to `phase`. Every phase change goes through here,
+    /// so `waiting_mem` always equals the `WaitingMem` slot count.
+    #[inline]
+    fn set_phase(&mut self, idx: usize, phase: Phase) {
+        let slot = &mut self.slots[idx];
+        self.waiting_mem -= usize::from(slot.phase == Phase::WaitingMem);
+        self.waiting_mem += usize::from(phase == Phase::WaitingMem);
+        slot.phase = phase;
     }
 
     /// Queues a CTA of the given kernel for execution on this SM.
@@ -225,14 +239,14 @@ impl Sm {
             // audit:allow(tick-path-panics) guarded by the is_empty check two lines up
             let (kernel, cta) = self.pending.pop_front().expect("checked non-empty");
             let mut warp = 0;
-            for slot in &mut self.slots {
+            for idx in 0..self.slots.len() {
                 if warp == self.params.warps_per_cta {
                     break;
                 }
-                if slot.phase == Phase::Vacant {
-                    slot.gen = Some(spec.warp_gen(cfg, kernel, cta, warp));
-                    slot.phase = Phase::Ready;
-                    slot.replay = None;
+                if self.slots[idx].phase == Phase::Vacant {
+                    self.slots[idx].gen = Some(spec.warp_gen(cfg, kernel, cta, warp));
+                    self.slots[idx].replay = None;
+                    self.set_phase(idx, Phase::Ready);
                     warp += 1;
                 }
             }
@@ -278,7 +292,7 @@ impl Sm {
                     break;
                 }
                 Phase::Blocked(t) if t <= now.0 => {
-                    self.slots[idx].phase = Phase::Ready;
+                    self.set_phase(idx, Phase::Ready);
                     pick = Some(idx);
                     break;
                 }
@@ -298,7 +312,7 @@ impl Sm {
                     // Re-emit the previously rejected L2 request.
                     let line = replay.va; // already line-aligned
                     if replay.is_store {
-                        self.slots[idx].phase = Phase::Ready;
+                        self.set_phase(idx, Phase::Ready);
                         Some(L2Req {
                             line_addr: line,
                             is_store: true,
@@ -309,7 +323,7 @@ impl Sm {
                             },
                         })
                     } else {
-                        self.slots[idx].phase = Phase::WaitingMem;
+                        self.set_phase(idx, Phase::WaitingMem);
                         Some(L2Req {
                             line_addr: line,
                             is_store: false,
@@ -336,14 +350,14 @@ impl Sm {
         match op {
             None => {
                 self.slots[idx].gen = None;
-                self.slots[idx].phase = Phase::Vacant;
+                self.set_phase(idx, Phase::Vacant);
                 self.occupied -= 1;
                 None
             }
             Some(Op::Compute(k)) => {
                 self.stats.instructions += k as u64;
                 // 1 IPC issue: the warp occupies its slot for k cycles.
-                self.slots[idx].phase = Phase::Blocked(now.0 + k as u64);
+                self.set_phase(idx, Phase::Blocked(now.0 + k as u64));
                 None
             }
             Some(Op::Load(va)) | Some(Op::Store(va)) => {
@@ -364,7 +378,7 @@ impl Sm {
                 }
                 let line = va - (va % self.params.line_size);
                 if ready_at > now.0 {
-                    self.slots[idx].phase = Phase::Blocked(ready_at);
+                    self.set_phase(idx, Phase::Blocked(ready_at));
                     self.slots[idx].replay = Some(Replay {
                         va: line,
                         is_store,
@@ -390,7 +404,7 @@ impl Sm {
         if is_store {
             // Write-through, no-allocate, posted: the warp keeps running.
             self.stats.stores += 1;
-            self.slots[idx].phase = Phase::Ready;
+            self.set_phase(idx, Phase::Ready);
             return Some(L2Req {
                 line_addr: line,
                 is_store: true,
@@ -403,10 +417,10 @@ impl Sm {
         }
         self.stats.loads += 1;
         if hit {
-            self.slots[idx].phase = Phase::Blocked(now.0 + self.params.l1_hit_latency);
+            self.set_phase(idx, Phase::Blocked(now.0 + self.params.l1_hit_latency));
             None
         } else {
-            self.slots[idx].phase = Phase::WaitingMem;
+            self.set_phase(idx, Phase::WaitingMem);
             Some(L2Req {
                 line_addr: line,
                 is_store: false,
@@ -440,14 +454,14 @@ impl Sm {
             home: req.home,
             stage: ReplayStage::PostL1,
         });
-        self.slots[warp].phase = Phase::Ready;
+        self.set_phase(warp, Phase::Ready);
         self.event_cache.set(EventCache::Dirty);
     }
 
     /// Wakes a memory-blocked warp at `at` (its data has been filled).
     pub fn wake_warp(&mut self, warp: usize, at: Cycle) {
         debug_assert_eq!(self.slots[warp].phase, Phase::WaitingMem);
-        self.slots[warp].phase = Phase::Blocked(at.0);
+        self.set_phase(warp, Phase::Blocked(at.0));
         self.event_cache.set(EventCache::Dirty);
     }
 
@@ -479,10 +493,15 @@ impl Sm {
 
     /// Warps parked waiting for a memory response.
     pub fn warps_waiting_mem(&self) -> usize {
-        self.slots
-            .iter()
-            .filter(|s| s.phase == Phase::WaitingMem)
-            .count()
+        debug_assert_eq!(
+            self.waiting_mem,
+            self.slots
+                .iter()
+                .filter(|s| s.phase == Phase::WaitingMem)
+                .count(),
+            "waiting_mem counter drifted from the slot scan"
+        );
+        self.waiting_mem
     }
 
     /// CTAs queued but not yet resident.
@@ -628,6 +647,53 @@ mod tests {
         assert_eq!(r2.line_addr, req.line_addr);
         assert_eq!(r2.is_store, req.is_store);
         assert_eq!(sm.stats().replays, 1);
+    }
+
+    #[test]
+    fn waiting_mem_counter_tracks_the_slot_scan() {
+        let (mut sm, mut l2_tlb, spec, cfg) = setup();
+        let mut xl = LocalXl;
+        let check = |sm: &Sm| {
+            let scanned = sm
+                .slots
+                .iter()
+                .filter(|s| s.phase == Phase::WaitingMem)
+                .count();
+            assert_eq!(sm.warps_waiting_mem(), scanned);
+        };
+        let is_load_of = |r: &L2Req, w: Option<usize>| match r.source {
+            ReqSource::Warp { warp, .. } => w.is_none_or(|w| w == warp),
+            _ => false,
+        };
+        let mut cycle = 0u64;
+        let mut issue_until = |sm: &mut Sm, w: Option<usize>| loop {
+            assert!(cycle < 100_000, "no load miss escaped");
+            let r = sm.step(Cycle(cycle), 0, &spec, &cfg, &mut xl, &mut l2_tlb);
+            check(sm);
+            cycle += 1;
+            if let Some(r) = r.filter(|r| is_load_of(r, w)) {
+                return (r, cycle);
+            }
+        };
+        // A load miss parks its warp in WaitingMem.
+        let (req, _) = issue_until(&mut sm, None);
+        let ReqSource::Warp { warp, .. } = req.source else {
+            unreachable!("filtered to warp loads")
+        };
+        let parked = sm.warps_waiting_mem();
+        assert!(parked >= 1);
+        // The L2 rejects it: the warp leaves WaitingMem to replay.
+        sm.fail_l2(req);
+        check(&sm);
+        assert_eq!(sm.warps_waiting_mem(), parked - 1);
+        // The replay re-emits the miss and parks the warp again.
+        let (again, at) = issue_until(&mut sm, Some(warp));
+        assert_eq!(again.line_addr, req.line_addr);
+        assert_eq!(sm.slots[warp].phase, Phase::WaitingMem);
+        // The fill wakes it.
+        sm.wake_warp(warp, Cycle(at + 5));
+        check(&sm);
+        assert_eq!(sm.slots[warp].phase, Phase::Blocked(at + 5));
     }
 
     #[test]

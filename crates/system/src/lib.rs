@@ -36,6 +36,7 @@
 pub mod chaos;
 pub mod design;
 pub mod metrics;
+mod pending;
 mod sanitize;
 pub mod sim;
 mod wake;

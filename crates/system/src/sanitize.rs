@@ -49,11 +49,16 @@
 //!   is due, must report no event at or before that tick by a fresh
 //!   query: a mutation that bypassed the calendar's touch rule is caught
 //!   at the first tick its component would have acted in.
+//! * `wait-census` — the per-GPU wait census [`PendingTable`] maintains
+//!   on insert and remove must equal a recount over the live slab
+//!   entries, taken in the token-lifecycle walk.
 
 use std::collections::{HashMap, HashSet};
 
 use carve::{Carve, CoherencePolicy, SharingState, EPOCH_MAX};
 use sim_core::fast::{Slab, SLOT_MASK, UNTRACKED_SLOT};
+
+use crate::pending::{PendingTable, WaitCensus};
 
 /// A latched invariant breach (first one wins; later events are ignored
 /// so the diagnostic names the root cause, not knock-on effects).
@@ -372,14 +377,15 @@ impl Sanitizer {
     /// Census of live slab tokens, called once per engine tick. New
     /// tokens must exceed every token ever seen (the slab's strictly
     /// increasing mint order); an old token reappearing means a slot was
-    /// resurrected.
-    pub(crate) fn poll_tokens<T>(&mut self, pending: &Slab<T>, cycle: u64) {
+    /// resurrected. `visit` sees every live entry on the same walk.
+    fn poll_tokens<T>(&mut self, pending: &Slab<T>, cycle: u64, mut visit: impl FnMut(&T)) {
         if self.violation.is_some() {
             return;
         }
         let mut cur = HashSet::with_capacity(pending.len());
-        pending.for_each(|t, _| {
+        pending.for_each(|t, p| {
             cur.insert(t);
+            visit(p);
         });
         let floor = self.max_token;
         let mut fresh_max = floor;
@@ -401,6 +407,26 @@ impl Sanitizer {
         }
         self.max_token = fresh_max;
         self.prev_live = cur;
+    }
+
+    /// The per-tick pending-table checks: the token census, and the
+    /// `wait-census` recount taken on the same walk of the slab.
+    pub(crate) fn poll_pending(&mut self, pending: &PendingTable, cycle: u64) {
+        let mut recount = WaitCensus::new(self.num_gpus);
+        self.poll_tokens(pending.slab(), cycle, |p| recount.add(p));
+        if self.violation.is_some() {
+            return;
+        }
+        if let Some(diff) = pending.census().first_difference(&recount) {
+            self.fail(
+                "wait-census",
+                cycle,
+                format!(
+                    "maintained vs recounted in-flight waits differ at {diff} (a pending \
+                     flow changed without going through PendingTable)"
+                ),
+            );
+        }
     }
 
     /// A completion or delivery carried a token with no live slab entry.
@@ -750,10 +776,10 @@ mod tests {
         let mut san = hwc_sanitizer(false);
         let mut slab: Slab<u8> = Slab::new();
         let a = slab.insert(1);
-        san.poll_tokens(&slab, 1);
+        san.poll_tokens(&slab, 1, |_| {});
         slab.insert(2);
         slab.remove(a);
-        san.poll_tokens(&slab, 2);
+        san.poll_tokens(&slab, 2, |_| {});
         assert!(san.take_violation().is_none());
     }
 
@@ -763,15 +789,15 @@ mod tests {
         let mut slab: Slab<u8> = Slab::new();
         let a = slab.insert(1);
         let b = slab.insert(2);
-        san.poll_tokens(&slab, 1);
+        san.poll_tokens(&slab, 1, |_| {});
         slab.remove(a);
         slab.remove(b);
-        san.poll_tokens(&slab, 2);
+        san.poll_tokens(&slab, 2, |_| {});
         // A fresh slab re-minting lower token values models a slot
         // resurrection (same token bits observed live again).
         let mut reborn: Slab<u8> = Slab::new();
         reborn.insert(9);
-        san.poll_tokens(&reborn, 3);
+        san.poll_tokens(&reborn, 3, |_| {});
         assert_eq!(invariant(&mut san), "token-lifecycle");
     }
 

@@ -29,7 +29,7 @@ use std::sync::Arc;
 use carve::{Carve, CoherencePolicy, HitPredictor, ProbeKind, RdcConfig, RdcStats};
 use carve_dram::{Completion, DramConfig, DramModel, DramStats, FlatMemory};
 use carve_gpu::{
-    CoreReqKind, CoreRequest, CoreStats, Fabric, GpuCore, TranslationOutcome, Translator,
+    CoreReqKind, CoreRequest, CoreStats, Fabric, GpuCore, Sm, TranslationOutcome, Translator,
 };
 use carve_noc::{msg, Delivery, LinkNetwork, NodeId, Topology};
 use carve_runtime::page_table::{PageMigration, PageTable};
@@ -37,13 +37,14 @@ use carve_runtime::sched::cta_range_of_gpu;
 use carve_runtime::sharing::{profile_workload, SharingProfile};
 use carve_trace::WorkloadSpec;
 use sim_core::event::NextEvent;
-use sim_core::fast::{FastSet, Slab, TagTable};
+use sim_core::fast::{FastSet, TagTable};
 use sim_core::profile::{ProfileReport, StallCat, StallLedger};
 use sim_core::telemetry::{self, IntervalRecord, NullTraceSink, Timeline, TraceEvent, TraceSink};
 use sim_core::{Cycle, FaultEvent, FaultKind, RecoverySnapshot, ScaledConfig, SimError, Watchdog};
 
 use crate::design::{Design, SimConfig};
 use crate::metrics::SimResult;
+use crate::pending::{GpuWaitFlags, Pending, PendingTable, RemoteCause, RemotePhase};
 use crate::sanitize::{Sanitizer, Violation};
 use crate::wake::WakeCalendar;
 
@@ -58,68 +59,6 @@ const CONGESTION_HORIZON: u64 = 1500;
 /// Extra stall charged to a migrating page beyond the transfer itself
 /// (TLB shootdown, driver bookkeeping).
 const MIGRATION_STALL: u64 = 800;
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RemotePhase {
-    Go,
-    AtHome,
-    Return,
-}
-
-/// Why a remote read crossed the fabric — carried on the pending entry
-/// purely so the cycle-accounting profiler can attribute the resulting
-/// warp stall (remote-link vs rdc-miss vs epoch-flush vs
-/// coherence-invalidate). Never consulted by protocol logic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RemoteCause {
-    /// Plain remote-home read (no RDC in the design, or predictor bypass
-    /// without an attributable miss kind).
-    Plain,
-    /// Launched after an RDC capacity/conflict miss (or a mispredicted
-    /// probe bypass).
-    RdcMiss,
-    /// Launched after the RDC copy went stale at a software-coherence
-    /// epoch flush.
-    Epoch,
-    /// Re-fetch of a line dropped by a hardware-coherence invalidation.
-    Inval,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum Pending {
-    /// Local DRAM read feeding a core miss.
-    LocalRead { gpu: usize, tag: u64 },
-    /// Local DRAM read probing the RDC for a remote line.
-    RdcProbe {
-        gpu: usize,
-        tag: u64,
-        line: u64,
-        home: usize,
-    },
-    /// Remote read flow: requester → home → (L2/DRAM) → requester.
-    RemoteRead {
-        requester: usize,
-        tag: u64,
-        line: u64,
-        home: usize,
-        phase: RemotePhase,
-        cause: RemoteCause,
-    },
-    /// System-memory read flow over the CPU links.
-    CpuRead {
-        gpu: usize,
-        tag: u64,
-        phase: RemotePhase,
-    },
-    /// Remote write-through arriving at its home node.
-    WriteArrive {
-        home: usize,
-        line: u64,
-        writer: usize,
-    },
-    /// Hardware-coherence invalidate probe in flight.
-    Invalidate { target: usize, line: u64 },
-}
 
 struct SystemXl<'a> {
     pt: &'a mut PageTable,
@@ -189,13 +128,9 @@ struct System {
     pt: PageTable,                 // state: shared (one page table for all GPUs)
     carve: Option<Carve>,          // state: shared (directory + per-GPU RDCs behind one facade)
     predictors: Vec<HitPredictor>, // state: gpu-local
-    /// In-flight system transactions. The slab token *is* the wire token
-    /// carried by DRAM/NoC/CPU-memory models, so lookups on completion are
-    /// a direct slot index (no hashing). Tokens are unique and strictly
-    /// increasing in allocation order — the `delayed` heap's tiebreak
-    /// relies on that — and fire-and-forget payloads draw ordered tokens
-    /// from the same sequence via `untracked_token`.
-    pending: Slab<Pending>, // state: shared (one token space for all flows)
+    /// In-flight system transactions and their per-GPU wait census
+    /// (see [`PendingTable`]).
+    pending: PendingTable, // state: shared (one token space for all flows)
     /// Home responses keyed by due cycle: a min-heap so each tick pops
     /// only the entries that are due instead of scanning everything.
     delayed: BinaryHeap<Reverse<(u64, u64)>>, // (due cycle, token); state: shared
@@ -358,7 +293,7 @@ impl System {
             pt,
             carve,
             predictors,
-            pending: Slab::new(),
+            pending: PendingTable::new(num_gpus),
             delayed: BinaryHeap::new(),
             ext_retry: (0..num_gpus).map(|_| VecDeque::new()).collect(),
             dram_retry: (0..num_gpus).map(|_| VecDeque::new()).collect(),
@@ -422,8 +357,8 @@ impl System {
     }
 
     /// One sanitizer step per engine tick: transfers any latched DRAM
-    /// timing-audit breach, checks message conservation and the token
-    /// census, and converts the first violation into a [`SimError`].
+    /// timing-audit breach, checks message conservation, the token census
+    /// and the wait census, and converts the first violation into a [`SimError`].
     fn sanitizer_poll(&mut self, now: Cycle) -> Option<SimError> {
         let san = self.san.as_deref_mut()?;
         for (g, d) in self.drams.iter().enumerate() {
@@ -434,7 +369,7 @@ impl System {
         let (sent, delivered) = self.net.message_counts();
         san.on_noc_counts(sent, delivered, now.0);
         san.on_hop_counts(self.net.transit_counts(), now.0);
-        san.poll_tokens(&self.pending, now.0);
+        san.poll_pending(&self.pending, now.0);
         let v = san.take_violation()?;
         Some(self.sanitizer_error(v, now))
     }
@@ -447,7 +382,7 @@ impl System {
         let (sent, delivered) = self.net.message_counts();
         san.on_run_end(sent, delivered, now.0);
         san.on_hop_run_end(self.net.transit_counts(), now.0);
-        san.poll_tokens(&self.pending, now.0);
+        san.poll_pending(&self.pending, now.0);
         let v = san.take_violation()?;
         Some(self.sanitizer_error(v, now))
     }
@@ -959,16 +894,9 @@ impl System {
             if comp.is_write {
                 continue;
             }
-            if let Some(Pending::CpuRead { gpu, tag, phase }) =
-                self.pending.get(comp.token).copied()
-            {
+            if let Some(&Pending::CpuRead { gpu, phase, .. }) = self.pending.get(comp.token) {
                 debug_assert_eq!(phase, RemotePhase::AtHome);
-                // audit:allow(tick-path-panics) token fetched from self.pending two lines up
-                *self.pending.get_mut(comp.token).expect("live CpuRead") = Pending::CpuRead {
-                    gpu,
-                    tag,
-                    phase: RemotePhase::Return,
-                };
+                self.pending.set_phase(comp.token, RemotePhase::Return);
                 self.net.send(
                     NodeId::Cpu,
                     NodeId::Gpu(gpu),
@@ -1017,11 +945,10 @@ impl System {
             match p {
                 Pending::RemoteRead {
                     requester,
-                    tag,
                     line,
                     home,
                     phase: RemotePhase::Go,
-                    cause,
+                    ..
                 } => {
                     debug_assert_eq!(d.dst, NodeId::Gpu(home));
                     if let Some(carve) = self.carve.as_mut() {
@@ -1034,16 +961,7 @@ impl System {
                             san.on_grant(home, line, requester, state, dir, now.0);
                         }
                     }
-                    // audit:allow(tick-path-panics) token fetched from self.pending in the same match
-                    *self.pending.get_mut(d.token).expect("live RemoteRead") =
-                        Pending::RemoteRead {
-                            requester,
-                            tag,
-                            line,
-                            home,
-                            phase: RemotePhase::AtHome,
-                            cause,
-                        };
+                    self.pending.set_phase(d.token, RemotePhase::AtHome);
                     if self.core_mut(home).external_read(d.token, line).is_err() {
                         self.ext_retry[home].push_back((d.token, line));
                         self.retries += 1;
@@ -1095,17 +1013,11 @@ impl System {
                     self.on_stale_delivery("link delivery in AtHome phase", d.token, now);
                 }
                 Pending::CpuRead {
-                    gpu,
-                    tag,
                     phase: RemotePhase::Go,
+                    ..
                 } => {
                     debug_assert_eq!(d.dst, NodeId::Cpu);
-                    // audit:allow(tick-path-panics) token fetched from self.pending in the same match
-                    *self.pending.get_mut(d.token).expect("live CpuRead") = Pending::CpuRead {
-                        gpu,
-                        tag,
-                        phase: RemotePhase::AtHome,
-                    };
+                    self.pending.set_phase(d.token, RemotePhase::AtHome);
                     self.cpu_mem_mut().enqueue(d.token, false, now);
                 }
                 Pending::CpuRead {
@@ -1154,24 +1066,14 @@ impl System {
                 break;
             }
             self.delayed.pop();
-            if let Some(Pending::RemoteRead {
+            if let Some(&Pending::RemoteRead {
                 requester,
-                tag,
-                line,
                 home,
                 phase: RemotePhase::AtHome,
-                cause,
-            }) = self.pending.get(token).copied()
+                ..
+            }) = self.pending.get(token)
             {
-                // audit:allow(tick-path-panics) token fetched from self.pending two lines up
-                *self.pending.get_mut(token).expect("live RemoteRead") = Pending::RemoteRead {
-                    requester,
-                    tag,
-                    line,
-                    home,
-                    phase: RemotePhase::Return,
-                    cause,
-                };
+                self.pending.set_phase(token, RemotePhase::Return);
                 self.net.send(
                     NodeId::Gpu(home),
                     NodeId::Gpu(requester),
@@ -1629,20 +1531,20 @@ impl Sampler {
         for g in 0..sys.num_gpus {
             let cum = Self::cum_of(sys, g);
             let prev = self.prev[g];
-            let snap = sys.cores[g].snapshot();
+            let core = &sys.cores[g];
             self.timeline.records.push(IntervalRecord {
                 start,
                 end,
                 gpu: g as u32,
                 instructions: cum.core.instructions - prev.core.instructions,
-                active_warps: snap.active_warps() as u64,
-                waiting_mem_warps: snap.waiting_mem_warps() as u64,
+                active_warps: core.active_warps() as u64,
+                waiting_mem_warps: core.warps_waiting_mem() as u64,
                 l1_hits: cum.core.l1_hits - prev.core.l1_hits,
                 l1_misses: cum.core.l1_misses - prev.core.l1_misses,
                 l2_hits: cum.core.l2_hits - prev.core.l2_hits,
                 l2_misses: cum.core.l2_misses - prev.core.l2_misses,
-                mshr_outstanding: snap.mshr_outstanding as u64,
-                outbox_backlog: snap.outbox_backlog as u64,
+                mshr_outstanding: core.mshr_outstanding() as u64,
+                outbox_backlog: core.outbox_backlog() as u64,
                 dram_reads: cum.dram.reads - prev.dram.reads,
                 dram_writes: cum.dram.writes - prev.dram.writes,
                 dram_row_hits: cum.dram.row_hits - prev.dram.row_hits,
@@ -1683,17 +1585,6 @@ impl Sampler {
     }
 }
 
-/// Per-GPU summary of what in-flight protocol traffic is waiting on,
-/// rebuilt by one pending-slab scan per profiled tick.
-#[derive(Debug, Clone, Copy, Default)]
-struct GpuWaitFlags {
-    epoch: bool,
-    inval: bool,
-    rdc: bool,
-    remote: bool,
-    local: bool,
-}
-
 /// The cycle-accounting profiler (DESIGN.md §14). Read-only over the
 /// [`System`], gated exactly like the [`Sampler`]: one `Option` check per
 /// tick when off, and a profiled run's journal is bit-identical to an
@@ -1701,35 +1592,49 @@ struct GpuWaitFlags {
 ///
 /// Every simulated SM cycle is charged to exactly one [`StallCat`]:
 /// [`Profiler::on_tick`] charges the cycle being ticked from post-tick
-/// state, and [`Profiler::charge_to`] charges the cycles the event-skip
-/// engine jumped over (or a fault froze) with the class captured after the
-/// previous tick — sound because a skipped span is provably quiescent, so
-/// the stall state cannot change inside it. The loop ticks through the
-/// final cycle inclusive while `SimResult::cycles` counts it exclusive, so
-/// [`Profiler::finish`] retracts the last tick's charge; per-GPU totals
-/// then sum to `cycles × SMs` exactly (the tested invariant).
+/// state, and every other cycle — jumped over by the event-skip engine,
+/// frozen by a fault, or ticked without changing the GPU — is charged
+/// with the span class captured at the GPU's previous classification.
+/// An SM's class is a pure function of its core's state and its GPU's
+/// [`GpuWaitFlags`], so a GPU whose core is off the tick's dirty list
+/// (the touch rule, DESIGN.md §3) and whose flags are unchanged would
+/// re-derive exactly its span classes. Only the other GPUs are
+/// reclassified; each GPU's span-class cycles accrue lazily behind its
+/// `charged` cursor and are settled when it is next reclassified, at
+/// every interval boundary, and at the end. Under [`EngineMode::Step`]
+/// every core is dirty every tick, so stepping is the
+/// full-reclassification oracle. The loop ticks through the final cycle
+/// inclusive while `SimResult::cycles` counts it exclusive, so
+/// [`Profiler::finish`] leaves the last cycle out; per-GPU totals then
+/// sum to `cycles × SMs` exactly (the tested invariant).
 struct Profiler {
     num_gpus: usize,
     sms_per_gpu: usize,
     ledger: StallLedger,
-    /// Next unaccounted cycle: everything below it has been charged.
+    /// One past the most recently ticked cycle.
     last: u64,
-    /// Per-(gpu, sm) class for quiescent skipped/frozen cycles, flattened
-    /// `gpu * sms_per_gpu + sm`; the post-tick stall state.
+    /// Per GPU: cycles below it are in the ledger; later cycles up to the
+    /// current one are owed at the GPU's span classes.
+    charged: Vec<u64>,
+    /// Per-(gpu, sm) class for cycles charged without reclassification,
+    /// flattened `gpu * sms_per_gpu + sm`; the stall state at the GPU's
+    /// last classification.
     span_class: Vec<StallCat>,
-    /// Per-(gpu, sm) class charged at the most recent tick (retracted by
-    /// [`Profiler::finish`]).
+    /// Per-(gpu, sm) class charged at the GPU's last classification
+    /// (un-charged by [`Profiler::finish`] when that was the final tick).
     tick_class: Vec<StallCat>,
-    /// Per-(gpu, sm) cumulative instruction count at the previous tick;
-    /// a delta marks the cycle as issuing.
+    /// Per-(gpu, sm) cumulative instruction count at the GPU's last
+    /// classification; a delta marks the cycle as issuing.
     prev_instr: Vec<u64>,
+    /// Per GPU: the wait flags of its last classification.
+    flags: Vec<GpuWaitFlags>,
+    /// Per GPU: on the current tick's dirty list.
+    dirty: Vec<bool>,
     /// Stacked-stall interval emission, matching the telemetry interval
     /// (`None`: totals only).
     interval: Option<u64>,
     next_at: u64,
     last_boundary: u64,
-    /// Scratch for the per-tick pending-slab census.
-    flags: Vec<GpuWaitFlags>,
 }
 
 impl Profiler {
@@ -1740,40 +1645,43 @@ impl Profiler {
             sms_per_gpu,
             ledger: StallLedger::new(num_gpus),
             last: 0,
+            charged: vec![0; num_gpus],
             span_class: vec![StallCat::Idle; slots],
             tick_class: vec![StallCat::Idle; slots],
             prev_instr: vec![0; slots],
+            flags: vec![GpuWaitFlags::default(); num_gpus],
+            dirty: vec![false; num_gpus],
             interval,
             next_at: interval.unwrap_or(u64::MAX),
             last_boundary: 0,
-            flags: vec![GpuWaitFlags::default(); num_gpus],
         }
     }
 
-    /// Charges every cycle in `[last, to)` with the span classes and
-    /// closes any interval boundary crossed (or landed on exactly).
-    fn charge_to(&mut self, to: u64) {
-        loop {
-            if let Some(iv) = self.interval {
-                if self.next_at <= self.last {
-                    self.ledger.flush_interval(self.last_boundary, self.next_at);
-                    self.last_boundary = self.next_at;
-                    self.next_at += iv;
-                    continue;
+    /// Charges GPU `g`'s owed cycles below `to` with its span classes.
+    fn settle(&mut self, g: usize, to: u64) {
+        let n = to - self.charged[g];
+        if n > 0 {
+            let sms = g * self.sms_per_gpu..(g + 1) * self.sms_per_gpu;
+            for &cls in &self.span_class[sms] {
+                self.ledger.add(g, cls, n);
+            }
+        }
+        self.charged[g] = to;
+    }
+
+    /// Closes each interval boundary at or below `to`, settling every GPU
+    /// up to the boundary first; cycles after the last boundary stay owed.
+    fn close_intervals(&mut self, to: u64) {
+        if let Some(iv) = self.interval {
+            while self.next_at <= to {
+                let b = self.next_at;
+                for g in 0..self.num_gpus {
+                    self.settle(g, b);
                 }
+                self.ledger.flush_interval(self.last_boundary, b);
+                self.last_boundary = b;
+                self.next_at += iv;
             }
-            if self.last >= to {
-                break;
-            }
-            let end = to.min(self.next_at);
-            let n = end - self.last;
-            for g in 0..self.num_gpus {
-                for s in 0..self.sms_per_gpu {
-                    self.ledger
-                        .add(g, self.span_class[g * self.sms_per_gpu + s], n);
-                }
-            }
-            self.last = end;
         }
     }
 
@@ -1803,45 +1711,58 @@ impl Profiler {
         }
     }
 
-    /// Charges the cycle that was just ticked at `now` from post-tick
-    /// state, and refreshes the span classes for any skip that follows.
-    fn on_tick(&mut self, now: u64, sys: &System) {
-        self.charge_to(now);
-        for f in &mut self.flags {
-            *f = GpuWaitFlags::default();
+    /// The stall state of `sm`, given its GPU's memory-stall class.
+    fn stall_of(sm: &Sm, mem_class: StallCat) -> StallCat {
+        if sm.is_idle() {
+            StallCat::Idle
+        } else if sm.warps_waiting_mem() > 0 {
+            mem_class
+        } else {
+            // Warps resident but none waiting on memory: the pipeline is
+            // occupied by in-flight compute, which we count as issuing
+            // rather than inventing a category the taxonomy doesn't have.
+            StallCat::Issuing
         }
-        let flags = &mut self.flags;
-        sys.pending.for_each(|_, p| match *p {
-            Pending::LocalRead { gpu, .. } => flags[gpu].local = true,
-            Pending::RdcProbe { gpu, .. } => flags[gpu].rdc = true,
-            Pending::RemoteRead {
-                requester, cause, ..
-            } => match cause {
-                RemoteCause::Plain => flags[requester].remote = true,
-                RemoteCause::RdcMiss => flags[requester].rdc = true,
-                RemoteCause::Epoch => flags[requester].epoch = true,
-                RemoteCause::Inval => flags[requester].inval = true,
-            },
-            Pending::CpuRead { gpu, .. } => flags[gpu].remote = true,
-            Pending::WriteArrive { .. } | Pending::Invalidate { .. } => {}
-        });
+    }
+
+    /// Whether reclassifying GPU `g` now would find its span classes and
+    /// instruction counts unchanged: the exactness claim behind skipping
+    /// a GPU the tick did not change, checked in debug builds.
+    fn classes_hold(&self, g: usize, sys: &System) -> bool {
+        let core = &sys.cores[g];
+        let mem_class = Self::classify_mem(core, self.flags[g]);
+        core.sms().iter().enumerate().all(|(s, sm)| {
+            let i = g * self.sms_per_gpu + s;
+            sm.stats().instructions == self.prev_instr[i]
+                && Self::stall_of(sm, mem_class) == self.span_class[i]
+        })
+    }
+
+    /// Charges the cycle that was just ticked at `now` from post-tick
+    /// state, reclassifying only the GPUs whose core was on the tick's
+    /// dirty list or whose wait flags changed.
+    fn on_tick(&mut self, now: u64, sys: &System) {
+        self.close_intervals(now);
+        for &g in sys.cal.ticked_cores() {
+            self.dirty[g] = true;
+        }
         for g in 0..self.num_gpus {
+            let flags = sys.pending.wait_flags(g);
+            if !std::mem::take(&mut self.dirty[g]) && flags == self.flags[g] {
+                debug_assert!(
+                    self.classes_hold(g, sys),
+                    "gpu {g} changed at cycle {now} off the tick's dirty list"
+                );
+                continue;
+            }
+            self.flags[g] = flags;
+            self.settle(g, now);
             let core = &sys.cores[g];
-            let mem_class = Self::classify_mem(core, self.flags[g]);
+            let mem_class = Self::classify_mem(core, flags);
             for (s, sm) in core.sms().iter().enumerate() {
                 let i = g * self.sms_per_gpu + s;
                 let instr = sm.stats().instructions;
-                let stall = if sm.is_idle() {
-                    StallCat::Idle
-                } else if sm.warps_waiting_mem() > 0 {
-                    mem_class
-                } else {
-                    // Warps resident but none waiting on memory: the
-                    // pipeline is occupied by in-flight compute, which we
-                    // count as issuing rather than inventing a category
-                    // the taxonomy doesn't have.
-                    StallCat::Issuing
-                };
+                let stall = Self::stall_of(sm, mem_class);
                 let cls = if instr > self.prev_instr[i] {
                     StallCat::Issuing
                 } else {
@@ -1852,26 +1773,28 @@ impl Profiler {
                 self.tick_class[i] = cls;
                 self.span_class[i] = stall;
             }
+            self.charged[g] = now + 1;
         }
         self.last = now + 1;
     }
 
-    /// Retracts the final tick (charged inclusive while `cycles` counts
+    /// Settles every GPU through the run's last cycle exclusive (un-charging
+    /// the final tick where it was charged, since `cycles` counts it
     /// exclusive), closes the residual interval, and assembles the report.
     fn finish(mut self, sys: &System, end_cycle: u64) -> ProfileReport {
         // A successful run always ends right after an `on_tick` at
         // `end_cycle`, so `last == end_cycle + 1` and every interval
-        // boundary at or below `end_cycle` has already been flushed. The
-        // final tick's charge is still in the open interval — retract it
-        // *before* closing the residual so the subtraction cannot hit an
-        // already-flushed accumulator.
+        // boundary at or below `end_cycle` has already been flushed: the
+        // charges below land in the open interval.
         debug_assert_eq!(self.last, end_cycle + 1, "profiler missed cycles");
-        if self.last > end_cycle {
-            for g in 0..self.num_gpus {
+        for g in 0..self.num_gpus {
+            if self.charged[g] > end_cycle {
                 for s in 0..self.sms_per_gpu {
                     self.ledger
                         .retract(g, self.tick_class[g * self.sms_per_gpu + s], 1);
                 }
+            } else {
+                self.settle(g, end_cycle);
             }
         }
         if self.interval.is_some() {
@@ -2054,6 +1977,7 @@ pub fn try_run_observed(
     // environment on every call.
     let trace_tail = std::env::var_os("CARVE_TRACE_TAIL").is_some();
     let trace_progress = std::env::var_os("CARVE_TRACE_PROGRESS").is_some();
+    let trace_kernels = std::env::var_os("CARVE_TRACE_KERNELS").is_some();
     for kernel in 0..spec.shape.kernels {
         if kernel > 0 {
             sys.kernel_boundary(Cycle(now));
@@ -2097,11 +2021,6 @@ pub fn try_run_observed(
             // boundary, and the skipped cycles in between were quiescent.
             if let Some(s) = sampler.as_mut() {
                 s.advance_to(now, &sys);
-            }
-            // Same pre-tick discipline: skipped cycles were quiescent, so
-            // they carry the class captured after the previous tick.
-            if let Some(p) = profiler.as_mut() {
-                p.charge_to(now);
             }
             // Fault schedule: every event stamped at or before `now`
             // fires here, before the tick — at the exact same cycle
@@ -2223,7 +2142,7 @@ pub fn try_run_observed(
                 // Clamp so an event-skip hop past the cap reports the same
                 // cycle count the stepping engine would.
                 now = sim.max_cycles;
-                if std::env::var_os("CARVE_TRACE_PROGRESS").is_some() {
+                if trace_progress {
                     eprintln!(
                         "    cycle cap hit at {now}; occupancy:\n{}",
                         sys.stall_diagnostic(Cycle(now))
@@ -2253,7 +2172,7 @@ pub fn try_run_observed(
                 sink.record(TraceEvent::end(name, g as u32, now));
             }
         }
-        if std::env::var_os("CARVE_TRACE_KERNELS").is_some() {
+        if trace_kernels {
             eprintln!(
                 "    kernel {kernel}: {} cycles (drain tail {})",
                 now - kstart,
@@ -2862,6 +2781,35 @@ mod tests {
             .try_enqueue_read(token, 0x1000, Cycle(end))
             .expect("empty queue");
         expect_miss(&mut sys, end, "gpu 2 DRAM");
+    }
+
+    #[test]
+    fn wait_census_invariant_catches_a_skewed_count() {
+        let spec = quick_spec("Lulesh");
+        let sim = SimConfig::with_cfg(Design::CarveHwc, quick_cfg());
+        let launched = || {
+            let mut sys = System::build(&spec, &sim, None, EngineMode::EventSkip);
+            sys.enable_sanitizer();
+            sys.core_mut(0).launch_kernel(0, 0..4);
+            sys
+        };
+        // Control: the maintained census matches every recount.
+        drive(&mut launched(), 0).expect("an untouched census runs clean");
+        // Seeded violation: one count drifts from the slab.
+        let mut sys = launched();
+        sys.pending.skew_census(1);
+        match drive(&mut sys, 0).expect_err("a skewed census must be caught") {
+            SimError::SanitizerViolation {
+                invariant,
+                cycle,
+                detail,
+            } => {
+                assert_eq!(invariant, "wait-census");
+                assert_eq!(cycle, 0, "caught at the first poll");
+                assert!(detail.contains("gpu 1 local: 1 vs 0"), "{detail}");
+            }
+            other => panic!("expected a wait-census violation, got {other}"),
+        }
     }
 
     #[test]

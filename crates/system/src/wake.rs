@@ -13,6 +13,11 @@
 //! The stepping engine pins every slot at 0 and never reschedules, so
 //! every phase visits every component and no horizon is ever consulted:
 //! it stays an oracle independent of the calendar.
+//!
+//! The cores on a tick's dirty list are the only cores whose state that
+//! tick changed, so [`WakeCalendar::reschedule`] keeps the list for the
+//! cycle profiler, which re-derives stall classes for those GPUs only.
+//! Under stepping the list is every core, every tick.
 
 use carve_dram::{DramModel, FlatMemory};
 use carve_gpu::GpuCore;
@@ -74,6 +79,9 @@ pub(crate) struct WakeCalendar {
     /// CPU memory wake cycle.
     pub(crate) cpu: u64,
     core_dirty: Vec<usize>,
+    /// The last completed tick's core dirty list (see
+    /// [`WakeCalendar::ticked_cores`]); every core under stepping.
+    ticked: Vec<usize>,
     dram_dirty: Vec<usize>,
     /// The stepping oracle: slots pinned at 0, never rescheduled.
     step: bool,
@@ -101,6 +109,7 @@ impl WakeCalendar {
             dram: vec![0; num_gpus],
             cpu: 0,
             core_dirty: all(),
+            ticked: (0..num_gpus).collect(),
             dram_dirty: all(),
             step,
             work: WorkCounters::default(),
@@ -144,7 +153,9 @@ impl WakeCalendar {
         if self.step {
             return;
         }
-        for g in self.core_dirty.drain(..) {
+        std::mem::swap(&mut self.ticked, &mut self.core_dirty);
+        self.core_dirty.clear();
+        for &g in &self.ticked {
             self.core[g] = slot(cores[g].next_event(now));
         }
         for g in self.dram_dirty.drain(..) {
@@ -153,6 +164,13 @@ impl WakeCalendar {
         if self.cpu == 0 {
             self.cpu = slot(cpu_mem.next_event(now));
         }
+    }
+
+    /// The last completed tick's core dirty list: every core ticked or
+    /// touched since the tick before it ended. No other core's state
+    /// changed in that time.
+    pub(crate) fn ticked_cores(&self) -> &[usize] {
+        &self.ticked
     }
 
     /// The earliest cached horizon (`u64::MAX` when every component is
@@ -183,6 +201,7 @@ mod tests {
         step.touch_core(1);
         step.touch_dram(3);
         assert!(step.core_dirty.is_empty() && step.dram_dirty.is_empty());
+        assert_eq!(step.ticked_cores(), [0, 1, 2, 3], "every core, every tick");
         assert!(step.core.iter().chain(&step.dram).all(|&w| w == 0));
     }
 

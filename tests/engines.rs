@@ -5,7 +5,11 @@
 //! only. The wake calendar earns most of its skips on large machines and
 //! routed fabrics, so these tests replay quick specs on 16- and 64-GPU
 //! topologies (plus one faulted run) under the event-skip engine and the
-//! stepping oracle, and require byte-identical journal lines.
+//! stepping oracle, and require byte-identical journal lines. Every run
+//! carries the cycle profiler and interval telemetry, and their output
+//! must match byte for byte as well: the profiler reclassifies only the
+//! GPUs a tick changed, while stepping marks every GPU changed on every
+//! tick, so the stepping run is the full-reclassification oracle.
 
 use carve_system::{
     try_run_with_profile_mode, workloads, Design, EngineMode, FaultPlan, ScaledConfig, SimConfig,
@@ -51,18 +55,46 @@ fn run(spec: &WorkloadSpec, sim: &SimConfig, mode: EngineMode) -> SimResult {
     })
 }
 
-/// Runs both engines (sanitized) and requires identical journal bytes.
+/// Interval of the telemetry and stacked-stall rows: short, so the runs
+/// cross many boundaries.
+const OBSERVE_INTERVAL: u64 = 500;
+
+/// Runs both engines with the profiler and telemetry on and requires
+/// identical journal, profile, stall-row and timeline bytes.
 fn assert_engines_agree(spec: &WorkloadSpec, sim: &SimConfig) -> (SimResult, SimResult) {
-    let skip = run(spec, sim, EngineMode::EventSkip);
-    let step = run(spec, sim, EngineMode::Step);
-    assert_eq!(
-        skip.encode_journal_line(),
-        step.encode_journal_line(),
-        "{} on {} over {:?}: engines diverged",
+    let mut sim = sim.clone();
+    sim.cycle_profile = true;
+    sim.telemetry_interval = Some(OBSERVE_INTERVAL);
+    let skip = run(spec, &sim, EngineMode::EventSkip);
+    let step = run(spec, &sim, EngineMode::Step);
+    let what = format!(
+        "{} on {} over {:?}",
         spec.name,
         sim.design.label(),
         sim.cfg.topology
     );
+    assert_eq!(
+        skip.encode_journal_line(),
+        step.encode_journal_line(),
+        "{what}: engines diverged"
+    );
+    let (ps, pt) = (
+        skip.profile.as_ref().expect("profiled"),
+        step.profile.as_ref().expect("profiled"),
+    );
+    assert_eq!(
+        ps.encode_compact(),
+        pt.encode_compact(),
+        "{what}: profiles diverged"
+    );
+    let rows = |r: &SimResult| -> Vec<String> {
+        let p = r.profile.as_ref().expect("profiled");
+        p.intervals.iter().map(|row| row.csv_line()).collect()
+    };
+    assert_eq!(rows(&skip), rows(&step), "{what}: stall rows diverged");
+    assert!(!ps.intervals.is_empty(), "{what}: no stall rows");
+    let csv = |r: &SimResult| r.timeline.as_ref().expect("sampled").to_csv_string();
+    assert_eq!(csv(&skip), csv(&step), "{what}: timelines diverged");
     assert!(skip.completed);
     (skip, step)
 }
