@@ -23,14 +23,14 @@ pub struct Eviction {
     pub remote: bool,
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct Line {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    remote: bool,
-    lru: u64,
-}
+/// `tags` entry of an invalid way. A real tag is `addr / line_size / sets`
+/// with `line_size × sets >= 2` (checked in [`SetAssocCache::new`]), so it
+/// is below `2^63` and never equals this.
+const INVALID: u64 = u64::MAX;
+/// `flags` bit: the line was written since it was filled.
+const DIRTY: u8 = 1;
+/// `flags` bit: the line caches remotely homed memory.
+const REMOTE: u8 = 2;
 
 /// A set-associative cache with true-LRU replacement.
 ///
@@ -39,12 +39,20 @@ struct Line {
 /// [`fill`](SetAssocCache::fill) on a miss (allocate-on-miss) and whether to
 /// [`mark_dirty`](SetAssocCache::mark_dirty) on stores (write-back) or to
 /// propagate the store downstream (write-through).
+///
+/// Way state is kept in three parallel arrays indexed `set * ways + way`,
+/// so a lookup reads only the set's contiguous tag words.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
     sets: usize,
     ways: usize,
     line_size: u64,
-    lines: Vec<Line>,
+    /// Each way's tag, [`INVALID`] when the way holds no line.
+    tags: Vec<u64>,
+    /// Each way's last-touch stamp (the LRU order).
+    lru: Vec<u64>,
+    /// Each way's [`DIRTY`] / [`REMOTE`] bits; meaningless while invalid.
+    flags: Vec<u8>,
     tick: u64,
     hits: u64,
     misses: u64,
@@ -57,8 +65,9 @@ impl SetAssocCache {
     /// # Panics
     ///
     /// Panics if the geometry is degenerate (zero sizes, capacity not
-    /// divisible into at least one set, or a non-power-of-two set count —
-    /// required for mask indexing).
+    /// divisible into at least one set, a non-power-of-two set count —
+    /// required for mask indexing — or a single set of 1-byte lines, whose
+    /// tags would span every `u64`).
     pub fn new(capacity_bytes: u64, ways: usize, line_size: u64) -> SetAssocCache {
         assert!(capacity_bytes > 0 && ways > 0 && line_size > 0);
         let total_lines = (capacity_bytes / line_size) as usize;
@@ -71,11 +80,17 @@ impl SetAssocCache {
             sets.is_power_of_two(),
             "set count {sets} must be a power of two"
         );
+        assert!(
+            line_size > 1 || sets > 1,
+            "a single set of 1-byte lines leaves no tag value free for INVALID"
+        );
         SetAssocCache {
             sets,
             ways,
             line_size,
-            lines: vec![Line::default(); sets * ways],
+            tags: vec![INVALID; sets * ways],
+            lru: vec![0; sets * ways],
+            flags: vec![0; sets * ways],
             tick: 0,
             hits: 0,
             misses: 0,
@@ -90,36 +105,48 @@ impl SetAssocCache {
         (set, tag)
     }
 
+    /// The `tags` index of the way in `set` holding `tag`, if resident.
+    #[inline]
+    fn find(&self, set: usize, tag: u64) -> Option<usize> {
+        let base = set * self.ways;
+        self.tags[base..base + self.ways]
+            .iter()
+            .position(|&t| t == tag)
+            .map(|way| base + way)
+    }
+
+    /// The address of the line `tag` names in `set`.
+    #[inline]
+    fn line_addr(&self, set: usize, tag: u64) -> u64 {
+        (tag * self.sets as u64 + set as u64) * self.line_size
+    }
+
     /// Looks up `addr`; on a hit updates recency (and dirty state for
     /// writes, so callers using write-back semantics get it for free).
     /// Returns `true` on hit.
     pub fn probe(&mut self, addr: u64, kind: AccessKind) -> bool {
         self.tick += 1;
         let (set, tag) = self.index(addr);
-        let base = set * self.ways;
-        for way in 0..self.ways {
-            let line = &mut self.lines[base + way];
-            if line.valid && line.tag == tag {
-                line.lru = self.tick;
+        match self.find(set, tag) {
+            Some(i) => {
+                self.lru[i] = self.tick;
                 if kind == AccessKind::Write {
-                    line.dirty = true;
+                    self.flags[i] |= DIRTY;
                 }
                 self.hits += 1;
-                return true;
+                true
+            }
+            None => {
+                self.misses += 1;
+                false
             }
         }
-        self.misses += 1;
-        false
     }
 
     /// Looks up `addr` without disturbing recency or hit/miss statistics.
     pub fn contains(&self, addr: u64) -> bool {
         let (set, tag) = self.index(addr);
-        let base = set * self.ways;
-        (0..self.ways).any(|w| {
-            let l = &self.lines[base + w];
-            l.valid && l.tag == tag
-        })
+        self.find(set, tag).is_some()
     }
 
     /// Installs the line for `addr`, evicting LRU if the set is full.
@@ -128,89 +155,62 @@ impl SetAssocCache {
     pub fn fill(&mut self, addr: u64, remote: bool) -> Option<Eviction> {
         self.tick += 1;
         let (set, tag) = self.index(addr);
-        let base = set * self.ways;
+        let remote_bit = if remote { REMOTE } else { 0 };
         // Already present (e.g. racing fills merged by an MSHR): refresh.
-        for way in 0..self.ways {
-            let line = &mut self.lines[base + way];
-            if line.valid && line.tag == tag {
-                line.lru = self.tick;
-                line.remote = remote;
-                return None;
-            }
+        if let Some(i) = self.find(set, tag) {
+            self.lru[i] = self.tick;
+            self.flags[i] = (self.flags[i] & !REMOTE) | remote_bit;
+            return None;
         }
         // Choose an invalid way, else the LRU way.
+        let base = set * self.ways;
         let mut victim = base;
         let mut best = u64::MAX;
-        for way in 0..self.ways {
-            let line = &self.lines[base + way];
-            if !line.valid {
-                victim = base + way;
+        for i in base..base + self.ways {
+            if self.tags[i] == INVALID {
+                victim = i;
                 break;
             }
-            if line.lru < best {
-                best = line.lru;
-                victim = base + way;
+            if self.lru[i] < best {
+                best = self.lru[i];
+                victim = i;
             }
         }
-        let old = self.lines[victim];
-        self.lines[victim] = Line {
-            tag,
-            valid: true,
-            dirty: false,
-            remote,
-            lru: self.tick,
-        };
-        if old.valid && old.dirty {
-            let line_addr = (old.tag * self.sets as u64 + set as u64) * self.line_size;
-            Some(Eviction {
-                addr: line_addr,
-                remote: old.remote,
-            })
-        } else {
-            None
-        }
+        let (old_tag, old_flags) = (self.tags[victim], self.flags[victim]);
+        self.tags[victim] = tag;
+        self.lru[victim] = self.tick;
+        self.flags[victim] = remote_bit;
+        (old_tag != INVALID && old_flags & DIRTY != 0).then(|| Eviction {
+            addr: self.line_addr(set, old_tag),
+            remote: old_flags & REMOTE != 0,
+        })
     }
 
     /// Marks the line holding `addr` dirty (no-op if absent). Returns
     /// whether the line was present.
     pub fn mark_dirty(&mut self, addr: u64) -> bool {
         let (set, tag) = self.index(addr);
-        let base = set * self.ways;
-        for way in 0..self.ways {
-            let line = &mut self.lines[base + way];
-            if line.valid && line.tag == tag {
-                line.dirty = true;
-                return true;
-            }
-        }
-        false
+        let Some(i) = self.find(set, tag) else {
+            return false;
+        };
+        self.flags[i] |= DIRTY;
+        true
     }
 
     /// Invalidates the line holding `addr` if present; returns whether the
     /// invalidated line was dirty.
     pub fn invalidate(&mut self, addr: u64) -> Option<bool> {
         let (set, tag) = self.index(addr);
-        let base = set * self.ways;
-        for way in 0..self.ways {
-            let line = &mut self.lines[base + way];
-            if line.valid && line.tag == tag {
-                line.valid = false;
-                return Some(line.dirty);
-            }
-        }
-        None
+        let i = self.find(set, tag)?;
+        self.tags[i] = INVALID;
+        Some(self.flags[i] & DIRTY != 0)
     }
 
     /// Invalidates every line (kernel-boundary L1 flush). Returns the number
     /// of lines dropped.
     pub fn invalidate_all(&mut self) -> usize {
-        let mut n = 0;
-        for line in &mut self.lines {
-            if line.valid {
-                line.valid = false;
-                n += 1;
-            }
-        }
+        let n = self.occupancy();
+        self.tags.fill(INVALID);
         n
     }
 
@@ -219,17 +219,16 @@ impl SetAssocCache {
     /// would need write-back before dropping.
     pub fn invalidate_remote(&mut self) -> Vec<Eviction> {
         let mut dirty = Vec::new();
-        for set in 0..self.sets {
-            for way in 0..self.ways {
-                let idx = set * self.ways + way;
-                let line = self.lines[idx];
-                if line.valid && line.remote {
-                    if line.dirty {
-                        let addr = (line.tag * self.sets as u64 + set as u64) * self.line_size;
-                        dirty.push(Eviction { addr, remote: true });
-                    }
-                    self.lines[idx].valid = false;
+        for i in 0..self.tags.len() {
+            let tag = self.tags[i];
+            if tag != INVALID && self.flags[i] & REMOTE != 0 {
+                if self.flags[i] & DIRTY != 0 {
+                    dirty.push(Eviction {
+                        addr: self.line_addr(i / self.ways, tag),
+                        remote: true,
+                    });
                 }
+                self.tags[i] = INVALID;
             }
         }
         dirty
@@ -257,7 +256,7 @@ impl SetAssocCache {
 
     /// Number of valid lines currently resident.
     pub fn occupancy(&self) -> usize {
-        self.lines.iter().filter(|l| l.valid).count()
+        self.tags.iter().filter(|&&t| t != INVALID).count()
     }
 
     /// Configured line size in bytes.
@@ -384,6 +383,199 @@ mod tests {
     #[should_panic]
     fn non_power_of_two_sets_rejected() {
         let _ = SetAssocCache::new(3 * 128 * 4, 4, 128);
+    }
+
+    /// The array-of-lines model the dense layout replaced, kept as the
+    /// oracle for `dense_layout_matches_the_line_array_model`.
+    #[derive(Clone, Copy, Default)]
+    struct Line {
+        tag: u64,
+        valid: bool,
+        dirty: bool,
+        remote: bool,
+        lru: u64,
+    }
+
+    struct RefCache {
+        sets: usize,
+        ways: usize,
+        line_size: u64,
+        lines: Vec<Line>,
+        tick: u64,
+        hits: u64,
+        misses: u64,
+    }
+
+    impl RefCache {
+        fn new(capacity_bytes: u64, ways: usize, line_size: u64) -> RefCache {
+            let sets = (capacity_bytes / line_size) as usize / ways;
+            RefCache {
+                sets,
+                ways,
+                line_size,
+                lines: vec![Line::default(); sets * ways],
+                tick: 0,
+                hits: 0,
+                misses: 0,
+            }
+        }
+
+        fn index(&self, addr: u64) -> (usize, u64) {
+            let line_addr = addr / self.line_size;
+            let set = (line_addr as usize) & (self.sets - 1);
+            (set, line_addr / self.sets as u64)
+        }
+
+        fn find(&self, addr: u64) -> Option<usize> {
+            let (set, tag) = self.index(addr);
+            let base = set * self.ways;
+            (base..base + self.ways).find(|&i| self.lines[i].valid && self.lines[i].tag == tag)
+        }
+
+        fn probe(&mut self, addr: u64, kind: AccessKind) -> bool {
+            self.tick += 1;
+            match self.find(addr) {
+                Some(i) => {
+                    self.lines[i].lru = self.tick;
+                    self.lines[i].dirty |= kind == AccessKind::Write;
+                    self.hits += 1;
+                    true
+                }
+                None => {
+                    self.misses += 1;
+                    false
+                }
+            }
+        }
+
+        fn fill(&mut self, addr: u64, remote: bool) -> Option<Eviction> {
+            self.tick += 1;
+            if let Some(i) = self.find(addr) {
+                self.lines[i].lru = self.tick;
+                self.lines[i].remote = remote;
+                return None;
+            }
+            let (set, tag) = self.index(addr);
+            let base = set * self.ways;
+            let mut victim = base;
+            let mut best = u64::MAX;
+            for i in base..base + self.ways {
+                if !self.lines[i].valid {
+                    victim = i;
+                    break;
+                }
+                if self.lines[i].lru < best {
+                    best = self.lines[i].lru;
+                    victim = i;
+                }
+            }
+            let old = self.lines[victim];
+            self.lines[victim] = Line {
+                tag,
+                valid: true,
+                dirty: false,
+                remote,
+                lru: self.tick,
+            };
+            (old.valid && old.dirty).then(|| Eviction {
+                addr: (old.tag * self.sets as u64 + set as u64) * self.line_size,
+                remote: old.remote,
+            })
+        }
+
+        fn mark_dirty(&mut self, addr: u64) -> bool {
+            self.find(addr)
+                .map(|i| self.lines[i].dirty = true)
+                .is_some()
+        }
+
+        fn invalidate(&mut self, addr: u64) -> Option<bool> {
+            let i = self.find(addr)?;
+            self.lines[i].valid = false;
+            Some(self.lines[i].dirty)
+        }
+
+        fn invalidate_all(&mut self) -> usize {
+            let n = self.occupancy();
+            self.lines.iter_mut().for_each(|l| l.valid = false);
+            n
+        }
+
+        fn invalidate_remote(&mut self) -> Vec<Eviction> {
+            let mut dirty = Vec::new();
+            for (i, line) in self.lines.iter_mut().enumerate() {
+                if line.valid && line.remote {
+                    if line.dirty {
+                        let set = (i / self.ways) as u64;
+                        let addr = (line.tag * self.sets as u64 + set) * self.line_size;
+                        dirty.push(Eviction { addr, remote: true });
+                    }
+                    line.valid = false;
+                }
+            }
+            dirty
+        }
+
+        fn occupancy(&self) -> usize {
+            self.lines.iter().filter(|l| l.valid).count()
+        }
+    }
+
+    /// Drives the dense cache and the line-array oracle with the same
+    /// seeded op stream and requires identical answers after every op.
+    fn differential(capacity_bytes: u64, ways: usize, line_size: u64, seed: u64) {
+        use sim_core::rng::Stream;
+        let mut dense = SetAssocCache::new(capacity_bytes, ways, line_size);
+        let mut oracle = RefCache::new(capacity_bytes, ways, line_size);
+        let mut rng = Stream::from_seed(seed);
+        // Three lines per way slot: sets fill, evict and re-hit often.
+        let lines = (capacity_bytes / line_size) * 3;
+        let (mut dirty_evictions, mut dirty_remote_flushed) = (0, 0);
+        for op in 0..100_000u64 {
+            let addr = if rng.gen_bool(0.001) {
+                // A far tag now and then: tags span the full address range.
+                rng.next_u64()
+            } else {
+                rng.gen_range(0, lines) * line_size + rng.gen_range(0, line_size)
+            };
+            let ctx = format!("op {op} at {addr:#x}");
+            match rng.gen_range(0, 1000) {
+                0..=399 => {
+                    let kind = if rng.gen_bool(0.4) {
+                        AccessKind::Write
+                    } else {
+                        AccessKind::Read
+                    };
+                    assert_eq!(dense.probe(addr, kind), oracle.probe(addr, kind), "{ctx}");
+                }
+                400..=699 => {
+                    let remote = rng.gen_bool(0.5);
+                    let ev = dense.fill(addr, remote);
+                    assert_eq!(ev, oracle.fill(addr, remote), "{ctx}");
+                    dirty_evictions += usize::from(ev.is_some());
+                }
+                700..=849 => assert_eq!(dense.mark_dirty(addr), oracle.mark_dirty(addr), "{ctx}"),
+                850..=994 => assert_eq!(dense.invalidate(addr), oracle.invalidate(addr), "{ctx}"),
+                995..=998 => {
+                    let flushed = dense.invalidate_remote();
+                    assert_eq!(flushed, oracle.invalidate_remote(), "{ctx}");
+                    dirty_remote_flushed += flushed.len();
+                }
+                _ => assert_eq!(dense.invalidate_all(), oracle.invalidate_all(), "{ctx}"),
+            }
+            assert_eq!(dense.occupancy(), oracle.occupancy(), "op {op}");
+            assert_eq!(dense.hits(), oracle.hits, "op {op}");
+            assert_eq!(dense.misses(), oracle.misses, "op {op}");
+        }
+        // The stream reached the paths the golden journals rarely do.
+        assert!(dirty_evictions > 100, "{dirty_evictions} dirty evictions");
+        assert!(dirty_remote_flushed > 10, "{dirty_remote_flushed} flushed");
+    }
+
+    #[test]
+    fn dense_layout_matches_the_line_array_model() {
+        differential(32 * 4 * 128, 4, 128, 1); // 32 sets x 4 ways
+        differential(16 * 16 * 64, 16, 64, 2); // 16 sets x 16 ways
     }
 
     #[test]

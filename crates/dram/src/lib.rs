@@ -107,12 +107,19 @@ pub struct Completion {
     pub is_write: bool,
 }
 
+/// A queued access, decoded once at enqueue (see [`DramModel::decode`]).
 #[derive(Debug, Clone, Copy)]
 struct DramRequest {
     token: u64,
-    addr: u64,
+    /// Bank in the low [`Channel::bank_bits`] bits, row above them
+    /// (see [`unpack`]).
+    loc: u64,
     arrival: Cycle,
 }
+
+// Every channel preallocates `2 × queue_depth` of these, for every
+// channel of every GPU: a wider request costs resident memory at scale.
+const _: () = assert!(std::mem::size_of::<DramRequest>() == 24);
 
 #[derive(Debug, Clone, Copy, Default)]
 struct Bank {
@@ -123,6 +130,8 @@ struct Bank {
 #[derive(Debug)]
 struct Channel {
     banks: Vec<Bank>,
+    /// Width of the bank field of [`DramRequest::loc`].
+    bank_bits: u32,
     read_q: BoundedQueue<DramRequest>,
     write_q: BoundedQueue<DramRequest>,
     in_service: Vec<(Completion, u64)>, // (completion, finish cycle)
@@ -172,23 +181,25 @@ struct Channel {
     bus_cycles: f64,
 }
 
+/// Splits a [`DramRequest::loc`] into its bank and row.
+#[inline]
+fn unpack(loc: u64, bank_bits: u32) -> (usize, u64) {
+    ((loc & ((1 << bank_bits) - 1)) as usize, loc >> bank_bits)
+}
+
 impl Channel {
     /// Recomputes [`Channel::issue_floor`] from scratch (both queues).
-    fn recompute_issue_floor(&mut self, cfg: &DramConfig) {
+    fn recompute_issue_floor(&mut self) {
         if self.read_q.is_empty() && self.write_q.is_empty() {
             self.issue_floor = u64::MAX;
             return;
         }
         let bus_ready = (self.bus_free_at - 1.0).ceil().max(0.0) as u64;
-        let line = cfg.line_size;
-        let chn = cfg.channels as u64;
-        let nb = cfg.banks_per_channel as u64;
-        let lpr = (cfg.row_bytes / line).max(1);
         let min_bank_ready = self
             .read_q
             .iter()
             .chain(self.write_q.iter())
-            .map(|req| self.banks[((req.addr / line / chn / lpr) % nb) as usize].ready_at)
+            .map(|req| self.banks[unpack(req.loc, self.bank_bits).0].ready_at)
             .min()
             .unwrap_or(0);
         self.issue_floor = bus_ready.max(min_bank_ready);
@@ -214,13 +225,9 @@ impl Channel {
     }
 
     /// Lowers [`Channel::issue_floor`] for one newly queued request.
-    fn note_enqueue(&mut self, addr: u64, cfg: &DramConfig) {
+    fn note_enqueue(&mut self, loc: u64) {
         let bus_ready = (self.bus_free_at - 1.0).ceil().max(0.0) as u64;
-        let line = cfg.line_size;
-        let chn = cfg.channels as u64;
-        let nb = cfg.banks_per_channel as u64;
-        let lpr = (cfg.row_bytes / line).max(1);
-        let bank_ready = self.banks[((addr / line / chn / lpr) % nb) as usize].ready_at;
+        let bank_ready = self.banks[unpack(loc, self.bank_bits).0].ready_at;
         self.issue_floor = self.issue_floor.min(bus_ready.max(bank_ready));
     }
 }
@@ -403,14 +410,22 @@ impl DramModel {
     /// # Panics
     ///
     /// Panics on degenerate configuration (no channels/banks, zero
-    /// bandwidth, or drain watermarks out of order).
+    /// bandwidth, a line smaller than 2 bytes, or drain watermarks out of
+    /// order).
     pub fn new(cfg: DramConfig) -> DramModel {
         assert!(cfg.channels > 0 && cfg.banks_per_channel > 0);
         assert!(cfg.bytes_per_cycle > 0.0);
+        // `decode` packs (row, bank) into one word. With lines of at least
+        // two bytes a row index is below `2^63 / banks`, so shifting it by
+        // `ceil(log2(banks))` bits (a factor below `2 × banks`) stays below
+        // `2^64`: the packing is exact for every address.
+        assert!(cfg.line_size >= 2, "line size must be at least 2 bytes");
         assert!(cfg.drain_low < cfg.drain_high && cfg.drain_high <= cfg.queue_depth);
+        let bank_bits = cfg.banks_per_channel.next_power_of_two().trailing_zeros();
         let channels = (0..cfg.channels)
             .map(|_| Channel {
                 banks: vec![Bank::default(); cfg.banks_per_channel],
+                bank_bits,
                 read_q: BoundedQueue::new(cfg.queue_depth),
                 write_q: BoundedQueue::new(cfg.queue_depth),
                 in_service: Vec::new(),
@@ -466,18 +481,32 @@ impl DramModel {
         ((addr / self.cfg.line_size) % self.cfg.channels as u64) as usize
     }
 
+    /// The line-interleaved address map, evaluated once per request: lines
+    /// rotate across channels, then fill a row's worth of lines, then
+    /// rotate across banks. Returns the channel and the packed bank/row
+    /// word every later scan reads (see [`unpack`]).
+    fn decode(&self, addr: u64) -> (usize, u64) {
+        let cfg = &self.cfg;
+        let ch = self.channel_of(addr);
+        let nb = cfg.banks_per_channel as u64;
+        let lines_per_row = (cfg.row_bytes / cfg.line_size).max(1);
+        let row_line = addr / cfg.line_size / cfg.channels as u64 / lines_per_row;
+        let bank_bits = self.channels[ch].bank_bits;
+        (ch, ((row_line / nb) << bank_bits) | (row_line % nb))
+    }
+
     /// Enqueues a read. On a full queue the request is rejected and the
     /// caller must retry (back-pressure).
     pub fn try_enqueue_read(&mut self, token: u64, addr: u64, now: Cycle) -> Result<(), u64> {
-        let ch = self.channel_of(addr);
+        let (ch, loc) = self.decode(addr);
         let req = DramRequest {
             token,
-            addr,
+            loc,
             arrival: now,
         };
         match self.channels[ch].read_q.try_push(req) {
             Ok(()) => {
-                self.channels[ch].note_enqueue(addr, &self.cfg);
+                self.channels[ch].note_enqueue(loc);
                 Ok(())
             }
             Err(r) => {
@@ -489,10 +518,10 @@ impl DramModel {
 
     /// Enqueues a write (posted; the completion is for stats/ordering).
     pub fn try_enqueue_write(&mut self, token: u64, addr: u64, now: Cycle) -> Result<(), u64> {
-        let ch = self.channel_of(addr);
+        let (ch, loc) = self.decode(addr);
         let req = DramRequest {
             token,
-            addr,
+            loc,
             arrival: now,
         };
         // Only the write queue feeds the hysteresis: settle this cycle's
@@ -500,7 +529,7 @@ impl DramModel {
         self.channels[ch].settle_before_enqueue(&self.cfg, now);
         match self.channels[ch].write_q.try_push(req) {
             Ok(()) => {
-                self.channels[ch].note_enqueue(addr, &self.cfg);
+                self.channels[ch].note_enqueue(loc);
                 Ok(())
             }
             Err(r) => {
@@ -533,7 +562,6 @@ impl DramModel {
     /// [`DramModel::tick`]; `done` is NOT cleared).
     pub fn tick_into(&mut self, now: Cycle, done: &mut Vec<Completion>) {
         let cfg = &self.cfg;
-        let banks_per_channel = cfg.banks_per_channel;
         for (ci, ch) in self.channels.iter_mut().enumerate() {
             // 1. Deliver finished accesses (skip the scan until something
             // is due).
@@ -599,20 +627,10 @@ impl DramModel {
                 // ready bank; else give up this cycle.
                 let pick = {
                     let banks = &ch.banks;
-                    let line = cfg.line_size;
-                    let row_bytes = cfg.row_bytes;
-                    let chn = cfg.channels as u64;
-                    let nb = banks_per_channel as u64;
-                    let classify = |addr: u64| {
-                        let cl = (addr / line) / chn;
-                        let lpr = (row_bytes / line).max(1);
-                        let rl = cl / lpr;
-                        ((rl % nb) as usize, rl / nb)
-                    };
                     let mut hit_idx: Option<usize> = None;
                     let mut ready_idx: Option<usize> = None;
                     for (i, req) in queue.iter().enumerate() {
-                        let (b, row) = classify(req.addr);
+                        let (b, row) = unpack(req.loc, ch.bank_bits);
                         if banks[b].ready_at <= now.0 {
                             if banks[b].open_row == Some(row) {
                                 hit_idx = Some(i);
@@ -626,25 +644,12 @@ impl DramModel {
                     hit_idx.or(ready_idx)
                 };
                 let Some(idx) = pick else { break };
-                let mut taken = 0usize;
                 let req = queue
-                    .pop_first_matching(|_| {
-                        let found = taken == idx;
-                        taken += 1;
-                        found
-                    })
+                    .remove(idx)
                     // audit:allow(tick-path-panics) idx was computed from this queue two lines up; a miss is memory corruption, not a recoverable SimError
                     .expect("picked index must exist");
                 // Timing.
-                let (bank_idx, row) = {
-                    let cl = (req.addr / cfg.line_size) / cfg.channels as u64;
-                    let lpr = (cfg.row_bytes / cfg.line_size).max(1);
-                    let rl = cl / lpr;
-                    (
-                        (rl % banks_per_channel as u64) as usize,
-                        rl / banks_per_channel as u64,
-                    )
-                };
+                let (bank_idx, row) = unpack(req.loc, ch.bank_bits);
                 let bank = &mut ch.banks[bank_idx];
                 let start = (now.0 as f64).max(ch.bus_free_at).max(bank.ready_at as f64);
                 let row_hit = bank.open_row == Some(row);
@@ -708,7 +713,7 @@ impl DramModel {
                 ch.min_finish = ch.min_finish.min(finish);
                 let _ = req.arrival; // latency accounting happens at the caller
             }
-            ch.recompute_issue_floor(cfg);
+            ch.recompute_issue_floor();
         }
     }
 
@@ -1020,6 +1025,47 @@ mod tests {
             }
         }
         out
+    }
+
+    #[test]
+    fn decode_packs_bank_and_row_exactly() {
+        use sim_core::rng::Stream;
+        let mut rng = Stream::from_seed(3);
+        // Power-of-two and odd bank counts, tiny and huge rows, the
+        // smallest line `new` accepts.
+        for (channels, banks, row_bytes, line_size) in [
+            (8, 16, 2048, 128),
+            (3, 5, 1024, 64),
+            (1, 1, 2, 2),
+            (7, 17, 64, 128),
+            (1, 3, 2, 2),
+        ] {
+            let dram = DramModel::new(DramConfig {
+                channels,
+                banks_per_channel: banks,
+                row_bytes,
+                line_size,
+                ..small_cfg()
+            });
+            let edges = [0, 1, u64::MAX, u64::MAX - line_size, 1 << 63];
+            let addrs = edges.into_iter().chain((0..2000).map(|_| rng.next_u64()));
+            for addr in addrs {
+                let rl = addr / line_size / channels as u64 / (row_bytes / line_size).max(1);
+                let (ch, loc) = dram.decode(addr);
+                assert_eq!(ch, dram.channel_of(addr));
+                let want = ((rl % banks as u64) as usize, rl / banks as u64);
+                assert_eq!(unpack(loc, dram.channels[ch].bank_bits), want, "{addr:#x}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "line size")]
+    fn one_byte_lines_are_rejected() {
+        let _ = DramModel::new(DramConfig {
+            line_size: 1,
+            ..small_cfg()
+        });
     }
 
     #[test]

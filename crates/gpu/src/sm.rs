@@ -86,6 +86,20 @@ enum Phase {
     WaitingMem,
 }
 
+impl Phase {
+    /// The earliest cycle this phase lets the warp issue on its own:
+    /// `Ready` is 0, `Blocked(t)` is `t`, and a vacant or memory-parked
+    /// slot never issues without outside input (`u64::MAX`).
+    #[inline]
+    fn wake(self) -> u64 {
+        match self {
+            Phase::Ready => 0,
+            Phase::Blocked(t) => t,
+            Phase::Vacant | Phase::WaitingMem => u64::MAX,
+        }
+    }
+}
+
 #[derive(Debug, Clone, Copy)]
 enum ReplayStage {
     /// Translation done; L1 not yet probed (TLB/migration delay elapsed).
@@ -141,6 +155,11 @@ pub struct Sm {
     l1: SetAssocCache,
     tlb: Tlb,
     slots: Vec<Slot>,
+    /// `slots[i].phase.wake()`, kept dense beside `slots` by
+    /// [`Sm::set_phase`]: the event-minimum scan and the round-robin pick
+    /// read these 8-byte words instead of striding over the ~170-byte
+    /// slots.
+    wake: Vec<u64>,
     pending: VecDeque<(usize, usize)>,
     rr: usize,
     stats: SmStats,
@@ -178,6 +197,7 @@ impl Sm {
             l1: SetAssocCache::new(params.l1_bytes, params.l1_ways, params.line_size),
             tlb: Tlb::new(params.l1_tlb_entries),
             slots,
+            wake: vec![u64::MAX; params.warps],
             pending: VecDeque::new(),
             rr: 0,
             params,
@@ -189,13 +209,19 @@ impl Sm {
     }
 
     /// Moves warp `idx` to `phase`. Every phase change goes through here,
-    /// so `waiting_mem` always equals the `WaitingMem` slot count.
+    /// so `waiting_mem` always equals the `WaitingMem` slot count and
+    /// `wake[idx]` always equals the slot's `phase.wake()`.
     #[inline]
     fn set_phase(&mut self, idx: usize, phase: Phase) {
+        debug_assert!(
+            phase != Phase::Blocked(u64::MAX),
+            "a block until u64::MAX would read as never waking"
+        );
         let slot = &mut self.slots[idx];
         self.waiting_mem -= usize::from(slot.phase == Phase::WaitingMem);
         self.waiting_mem += usize::from(phase == Phase::WaitingMem);
         slot.phase = phase;
+        self.wake[idx] = phase.wake();
     }
 
     /// Queues a CTA of the given kernel for execution on this SM.
@@ -211,17 +237,14 @@ impl Sm {
         if let EventCache::Clean(m) = self.event_cache.get() {
             return m;
         }
-        let mut min: Option<u64> = None;
-        for slot in &self.slots {
-            match slot.phase {
-                Phase::Ready => {
-                    self.event_cache.set(EventCache::Clean(Some(0)));
-                    return Some(0);
-                }
-                Phase::Blocked(t) => min = Some(min.map_or(t, |m: u64| m.min(t))),
-                Phase::Vacant | Phase::WaitingMem => {}
-            }
-        }
+        debug_assert!(
+            self.slots
+                .iter()
+                .zip(&self.wake)
+                .all(|(s, &w)| w == s.phase.wake()),
+            "wake array drifted from the slot phases"
+        );
+        let mut min = self.wake.iter().copied().min().filter(|&m| m != u64::MAX);
         if !self.pending.is_empty() && self.slots.len() - self.occupied >= self.params.warps_per_cta
         {
             min = Some(0);
@@ -280,26 +303,15 @@ impl Sm {
         // Round-robin pick of a ready warp, waking lazily: a warp whose
         // block has expired is indistinguishable from `Ready` to every
         // observer (the event horizon clamps expired times to the floor),
-        // so only the picked warp's phase is rewritten — one slot pass
-        // instead of a wake pass plus a pick pass.
+        // so only the picked warp's phase is rewritten — one pass over the
+        // dense `wake` words instead of a wake pass plus a pick pass.
         let n = self.slots.len();
-        let mut pick = None;
-        for k in 0..n {
-            let idx = (self.rr + k) % n;
-            match self.slots[idx].phase {
-                Phase::Ready => {
-                    pick = Some(idx);
-                    break;
-                }
-                Phase::Blocked(t) if t <= now.0 => {
-                    self.set_phase(idx, Phase::Ready);
-                    pick = Some(idx);
-                    break;
-                }
-                _ => {}
-            }
+        let idx = (self.rr..n)
+            .chain(0..self.rr)
+            .find(|&i| self.wake[i] <= now.0)?;
+        if self.wake[idx] != 0 {
+            self.set_phase(idx, Phase::Ready);
         }
-        let idx = pick?;
         self.rr = (idx + 1) % n;
 
         // Replayed op first.
@@ -649,6 +661,17 @@ mod tests {
         assert_eq!(sm.stats().replays, 1);
     }
 
+    fn assert_wake_mirrors_phases(sm: &Sm) {
+        for (i, slot) in sm.slots.iter().enumerate() {
+            assert_eq!(
+                sm.wake[i],
+                slot.phase.wake(),
+                "slot {i} in {:?}",
+                slot.phase
+            );
+        }
+    }
+
     #[test]
     fn waiting_mem_counter_tracks_the_slot_scan() {
         let (mut sm, mut l2_tlb, spec, cfg) = setup();
@@ -660,6 +683,7 @@ mod tests {
                 .filter(|s| s.phase == Phase::WaitingMem)
                 .count();
             assert_eq!(sm.warps_waiting_mem(), scanned);
+            assert_wake_mirrors_phases(sm);
         };
         let is_load_of = |r: &L2Req, w: Option<usize>| match r.source {
             ReqSource::Warp { warp, .. } => w.is_none_or(|w| w == warp),
@@ -694,6 +718,57 @@ mod tests {
         sm.wake_warp(warp, Cycle(at + 5));
         check(&sm);
         assert_eq!(sm.slots[warp].phase, Phase::Blocked(at + 5));
+    }
+
+    #[test]
+    fn wake_array_mirrors_phases_through_retirement() {
+        // Bitcoin's warps are compute-heavy with a few loads, so one CTA
+        // run to idle passes every phase edge: CTA fill (Vacant → Ready),
+        // compute issue (Blocked), lazy wake on pick, load miss
+        // (WaitingMem), fill wake, and retirement back to Vacant.
+        let cfg = ScaledConfig::default();
+        let spec = workloads::by_name("Bitcoin").unwrap();
+        let mut sm = Sm::new(0, SmParams::from_config(&cfg));
+        assert_wake_mirrors_phases(&sm);
+        sm.enqueue_cta(0, 0);
+        let mut l2_tlb = Tlb::new(512);
+        let mut xl = LocalXl;
+        let mut waiting: Vec<(usize, u64)> = Vec::new();
+        let mut seen = [false; 4];
+        let mut c = 0u64;
+        while !sm.is_idle() && c < 3_000_000 {
+            if let Some(req) = sm.step(Cycle(c), 0, &spec, &cfg, &mut xl, &mut l2_tlb) {
+                if let ReqSource::Warp { warp, .. } = req.source {
+                    waiting.push((warp, c + 50));
+                }
+            }
+            for slot in &sm.slots {
+                seen[match slot.phase {
+                    Phase::Vacant => 0,
+                    Phase::Ready => 1,
+                    Phase::Blocked(_) => 2,
+                    Phase::WaitingMem => 3,
+                }] = true;
+            }
+            assert_wake_mirrors_phases(&sm);
+            waiting.retain(|&(warp, at)| {
+                if at <= c {
+                    sm.wake_warp(warp, Cycle(at));
+                    false
+                } else {
+                    true
+                }
+            });
+            assert_wake_mirrors_phases(&sm);
+            c += 1;
+        }
+        assert!(sm.is_idle(), "SM failed to drain");
+        assert_eq!(seen, [true; 4], "every phase was visited");
+        assert!(
+            sm.wake.iter().all(|&w| w == u64::MAX),
+            "retired slots never wake"
+        );
+        assert_eq!(sm.next_event(Cycle(c)), None);
     }
 
     #[test]

@@ -98,10 +98,10 @@ impl<T> BoundedQueue<T> {
         self.items.iter()
     }
 
-    /// Removes and returns the first item matching `pred` (for FR-FCFS-style
-    /// out-of-order picks). O(n); queues here are short by construction.
-    pub fn pop_first_matching<F: FnMut(&T) -> bool>(&mut self, pred: F) -> Option<T> {
-        let idx = self.items.iter().position(pred)?;
+    /// Removes and returns the item `idx` places from the front (for
+    /// FR-FCFS-style out-of-order picks), or `None` past the end. O(n);
+    /// queues here are short by construction.
+    pub fn remove(&mut self, idx: usize) -> Option<T> {
         self.items.remove(idx)
     }
 
@@ -141,14 +141,14 @@ mod tests {
     }
 
     #[test]
-    fn pop_first_matching_removes_mid_queue() {
+    fn remove_takes_an_item_from_mid_queue() {
         let mut q = BoundedQueue::new(8);
         for i in 0..5 {
             q.try_push(i).unwrap();
         }
-        assert_eq!(q.pop_first_matching(|&x| x == 3), Some(3));
+        assert_eq!(q.remove(3), Some(3));
         assert_eq!(q.len(), 4);
-        assert_eq!(q.pop_first_matching(|&x| x == 99), None);
+        assert_eq!(q.remove(4), None);
         let out: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
         assert_eq!(out, vec![0, 1, 2, 4]);
     }

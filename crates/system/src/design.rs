@@ -245,9 +245,11 @@ impl SimConfig {
         if c.warps_per_sm == 0 {
             return fail("warps_per_sm is 0; each SM needs at least one warp slot".into());
         }
-        if c.line_size == 0 || !c.line_size.is_power_of_two() {
+        // At least 2 bytes: the DRAM model packs a bank and row into one
+        // word, which needs the line offset's spare bit (`DramModel::new`).
+        if c.line_size < 2 || !c.line_size.is_power_of_two() {
             return fail(format!(
-                "line_size is {}; it must be a non-zero power of two",
+                "line_size is {}; it must be a power of two of at least 2 bytes",
                 c.line_size
             ));
         }
@@ -440,6 +442,7 @@ mod tests {
             },
             "pod_size",
         );
+        check(|s| s.cfg.line_size = 1, "line_size");
         check(|s| s.cfg.dram_channels = 0, "dram_channels");
         check(|s| s.spill_fraction = 1.5, "spill_fraction");
         check(|s| s.spill_fraction = -0.1, "spill_fraction");

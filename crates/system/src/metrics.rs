@@ -356,12 +356,24 @@ mod tests {
         assert!((slow.performance_vs(&fast) - 0.25).abs() < 1e-12);
     }
 
+    // `speedup_over` documents two behaviours for a cross-workload call:
+    // a debug-build panic and a release-build 0.0. Each profile checks its
+    // own.
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "share a workload")]
     fn cross_workload_speedup_panics() {
         let a = result("a", 100);
         let b = result("b", 100);
         let _ = a.speedup_over(&b);
+    }
+
+    #[test]
+    #[cfg(not(debug_assertions))]
+    fn cross_workload_speedup_is_zero_in_release() {
+        let a = result("a", 100);
+        let b = result("b", 100);
+        assert_eq!(a.speedup_over(&b), 0.0);
     }
 
     #[test]
