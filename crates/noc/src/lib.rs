@@ -22,7 +22,8 @@
 //! [`LinkNetwork`] is the runtime network over a topology: it routes by
 //! `(src, dst)` node id, forwards multi-hop traffic at switches (per-hop
 //! serialization + propagation; switch queueing is the outgoing link's
-//! serialization backlog), and keeps end-to-end and per-hop conservation
+//! serialization backlog), drains only the links a min-heap of in-flight
+//! arrivals names as due, and keeps end-to-end and per-hop conservation
 //! counters for the protocol sanitizer.
 //!
 //! # Example
@@ -45,6 +46,8 @@
 use sim_core::event::{earliest, NextEvent};
 use sim_core::fast::Slab;
 use sim_core::{Cycle, LinkOccupancy, SimError, TopologySpec};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Message size constants in bytes.
 ///
@@ -141,8 +144,9 @@ impl Link {
     /// (MSHRs, warp slots) bound the traffic in flight. Because
     /// serialization of a non-empty message is strictly positive, the
     /// arrival cycle is always strictly after `now`: forwarded hops never
-    /// cascade within one tick and event horizons stay exact.
-    pub fn send(&mut self, token: u64, bytes: u64, now: Cycle) {
+    /// cascade within one tick and event horizons stay exact. Returns the
+    /// arrival cycle.
+    pub fn send(&mut self, token: u64, bytes: u64, now: Cycle) -> Cycle {
         let start = (now.0 as f64).max(self.next_slot);
         let ser = bytes as f64 / self.bytes_per_cycle;
         let nominal_ser = bytes as f64 / self.nominal_bytes_per_cycle;
@@ -156,6 +160,7 @@ impl Link {
         self.messages_sent += 1;
         self.in_flight.push((token, arrival));
         self.min_arrival = self.min_arrival.min(arrival);
+        Cycle(arrival)
     }
 
     /// Returns tokens of messages that have arrived by `now`.
@@ -833,17 +838,34 @@ pub struct LinkNetwork {
     delivered: u64,
     // Reused per-link drain buffer for `tick_into`.
     drain_scratch: Vec<u64>,
-    // EQUIVALENCE: `min_arrival` is the minimum of every link's own
-    // `min_arrival` (`u64::MAX` when the fabric is empty). It is
-    // min-merged on every wire send (`send` and transit forwards) and
-    // rescanned only after a tick that drained something or after
-    // `fail_link` rewrote the routes, so it never exceeds the true
-    // earliest arrival. A tick with `now < min_arrival` would find every
-    // link's own cache in the future and deliver nothing, so returning
-    // early is exact, and `next_event` needs no scan over the links.
-    /// Earliest arrival over all links: `next_event` and an idle
-    /// `tick_into` cost O(1) instead of a scan over every edge.
-    min_arrival: u64,
+    // EQUIVALENCE: `arrivals` holds exactly one `(min_arrival, edge)`
+    // entry per link with a message on the wire, keyed by that link's
+    // own `min_arrival`. A link's arrivals never decrease in send order
+    // (each send starts serializing no earlier than the previous one
+    // finished, and the latency is fixed), so a send changes the key
+    // only when the link was idle: `send_on`, the one path onto a wire
+    // (endpoint sends and transit forwards), pushes the entry then.
+    // `tick_into` pops every entry due and re-pushes a drained link's
+    // new minimum if it still carries traffic. Nothing else moves an
+    // arrival on the wire (degradation and outages change only future
+    // sends; `fail_link`'s retag rewrites tokens, not cycles), so no
+    // key goes stale. The links `tick_into` drains are therefore
+    // exactly those whose own `min_arrival <= now`, the set a scan over
+    // every edge visits, and it drains them in the scan's ascending edge
+    // order. Forwards pushed mid-tick arrive strictly after `now`
+    // (`Link::send`), so they join no current due set, and each link's
+    // `in_flight` sees the same pushes and swap-removes in the same
+    // order as under the scan. Delivery order, drop/dup consumption and
+    // forwards are byte-identical, and the head is the exact network
+    // horizon, so `next_event` needs no scan.
+    /// Min-heap of the busy links' earliest arrivals, one 16-byte
+    /// `(min_arrival, edge)` entry per link with traffic in flight.
+    arrivals: BinaryHeap<Reverse<(u64, usize)>>,
+    // Reused due-edge buffer for `tick_into`.
+    due_edges: Vec<usize>,
+    // Work counters: ticks that drained anything, links drained.
+    net_drains: u64,
+    link_drains: u64,
     // --- fault-injection state (all zero in fault-free runs; the hot
     // path pays one compare per delivery when quiescent) ---
     // Per-edge flags: killed by an injected outage / currently throttled.
@@ -911,7 +933,10 @@ impl LinkNetwork {
             injected: 0,
             delivered: 0,
             drain_scratch: Vec::new(),
-            min_arrival: u64::MAX,
+            arrivals: BinaryHeap::new(),
+            due_edges: Vec::new(),
+            net_drains: 0,
+            link_drains: 0,
             dead: vec![false; num_edges],
             degraded: vec![false; num_edges],
             pending_drops: 0,
@@ -980,22 +1005,17 @@ impl LinkNetwork {
         }
     }
 
-    /// Puts one wire token on link `e`, folding its arrival into the
-    /// network-wide horizon.
+    /// Puts one wire token on link `e`, entering the link in the arrival
+    /// heap if it was idle.
     #[inline]
     fn send_on(&mut self, e: usize, token: u64, bytes: u64, now: Cycle) {
-        self.links[e].send(token, bytes, now);
-        self.min_arrival = self.min_arrival.min(self.links[e].min_arrival);
-    }
-
-    /// Recomputes the network-wide horizon from every link's own cache.
-    fn rescan_min_arrival(&mut self) {
-        self.min_arrival = self
-            .links
-            .iter()
-            .map(|l| l.min_arrival)
-            .min()
-            .unwrap_or(u64::MAX);
+        let link = &mut self.links[e];
+        let key = link.oldest_in_flight_arrival();
+        let arrival = link.send(token, bytes, now);
+        match key {
+            None => self.arrivals.push(Reverse((arrival.0, e))),
+            Some(key) => debug_assert!(arrival.0 >= key, "a busy link's key moved"),
+        }
     }
 
     /// Advances all links, returning every delivery due by `now`.
@@ -1005,98 +1025,130 @@ impl LinkNetwork {
         out
     }
 
-    /// Advances all links in edge order, appending every delivery due by
-    /// `now` to `out` (allocation-free variant of [`LinkNetwork::tick`];
-    /// `out` is NOT cleared). Per-link `min_arrival` caches make a link
-    /// with nothing due cost one compare. Transit arrivals at a
-    /// non-destination node are immediately re-sent on the next hop; the
-    /// new arrival is strictly in the future, so in-tick iteration order
-    /// cannot observe it.
+    /// Drains, in edge order, every link with a message due by `now`,
+    /// appending the deliveries to `out` (allocation-free variant of
+    /// [`LinkNetwork::tick`]; `out` is NOT cleared). The arrival heap
+    /// names the due links, so links with nothing due are never visited;
+    /// a drained link that still carries traffic re-enters the heap at
+    /// its new earliest arrival.
+    /// Transit arrivals at a non-destination node are immediately re-sent
+    /// on the next hop; the new arrival is strictly in the future, so
+    /// in-tick iteration order cannot observe it.
     pub fn tick_into(&mut self, now: Cycle, out: &mut Vec<Delivery>) {
-        if self.min_arrival > now.0 {
+        let mut due = std::mem::take(&mut self.due_edges);
+        due.clear();
+        while let Some(&Reverse((arrival, e))) = self.arrivals.peek() {
+            if arrival > now.0 {
+                break;
+            }
+            self.arrivals.pop();
+            due.push(e);
+        }
+        if due.is_empty() {
+            self.due_edges = due;
             return;
         }
+        due.sort_unstable();
+        debug_assert!(due.windows(2).all(|w| w[0] < w[1]), "a link keyed twice");
+        self.net_drains += 1;
+        self.link_drains += due.len() as u64;
         let mut scratch = std::mem::take(&mut self.drain_scratch);
+        for &i in &due {
+            let drained = self.drain_link(i, now, &mut scratch, out);
+            debug_assert!(drained > 0, "link {i} keyed due with nothing due");
+            if let Some(next) = self.links[i].oldest_in_flight_arrival() {
+                self.arrivals.push(Reverse((next, i)));
+            }
+        }
+        self.drain_scratch = scratch;
+        self.due_edges = due;
+    }
+
+    /// Drains link `i`'s arrivals due by `now`: final-hop deliveries go to
+    /// `out`, transit arrivals are forwarded on their next hop. Returns
+    /// the number of wire messages taken off the link.
+    #[inline]
+    fn drain_link(
+        &mut self,
+        i: usize,
+        now: Cycle,
+        scratch: &mut Vec<u64>,
+        out: &mut Vec<Delivery>,
+    ) -> usize {
+        scratch.clear();
+        self.links[i].tick_into(now, scratch);
         if self.topo.single_hop {
-            for i in 0..self.links.len() {
-                if self.links[i].min_arrival > now.0 {
+            let e = self.topo.edges[i];
+            let src = self.node_id_of(e.from);
+            let dst = self.node_id_of(e.to);
+            for &token in scratch.iter() {
+                if self.take_drop() {
                     continue;
                 }
-                scratch.clear();
-                self.links[i].tick_into(now, &mut scratch);
-                let e = self.topo.edges[i];
-                let src = self.node_id_of(e.from);
-                let dst = self.node_id_of(e.to);
-                for &token in &scratch {
+                self.delivered += 1;
+                out.push(Delivery { token, src, dst });
+                if self.take_dup() {
+                    self.delivered += 1;
+                    out.push(Delivery { token, src, dst });
+                }
+            }
+        } else {
+            let at = self.topo.edges[i].to;
+            for &flow_token in scratch.iter() {
+                let Some(&flow) = self.flows.get(flow_token) else {
+                    // A wire token without a flow entry is impossible in
+                    // conservative operation (every in-flight token is
+                    // minted by `send` / migrated by `fail_link`). Count
+                    // and drop instead of panicking: the run degrades and
+                    // the conservation sanitizer reports the imbalance at
+                    // its next check.
+                    self.flow_desync += 1;
+                    continue;
+                };
+                if at as u32 == flow.dst {
+                    self.flows.remove(flow_token);
                     if self.take_drop() {
                         continue;
                     }
                     self.delivered += 1;
-                    out.push(Delivery { token, src, dst });
+                    let d = Delivery {
+                        token: flow.token,
+                        src: self.node_id_of(flow.src as usize),
+                        dst: self.node_id_of(flow.dst as usize),
+                    };
+                    out.push(d);
                     if self.take_dup() {
                         self.delivered += 1;
-                        out.push(Delivery { token, src, dst });
-                    }
-                }
-            }
-        } else {
-            for i in 0..self.links.len() {
-                if self.links[i].min_arrival > now.0 {
-                    continue;
-                }
-                scratch.clear();
-                self.links[i].tick_into(now, &mut scratch);
-                let at = self.topo.edges[i].to;
-                for &flow_token in &scratch {
-                    let Some(&flow) = self.flows.get(flow_token) else {
-                        // A wire token without a flow entry is impossible
-                        // in conservative operation (every in-flight token
-                        // is minted by `send` / migrated by `fail_link`).
-                        // Count and drop instead of panicking: the run
-                        // degrades and the conservation sanitizer reports
-                        // the imbalance at its next check.
-                        self.flow_desync += 1;
-                        continue;
-                    };
-                    if at as u32 == flow.dst {
-                        self.flows.remove(flow_token);
-                        if self.take_drop() {
-                            continue;
-                        }
-                        self.delivered += 1;
-                        let d = Delivery {
-                            token: flow.token,
-                            src: self.node_id_of(flow.src as usize),
-                            dst: self.node_id_of(flow.dst as usize),
-                        };
                         out.push(d);
-                        if self.take_dup() {
-                            self.delivered += 1;
-                            out.push(d);
-                        }
+                    }
+                } else {
+                    self.transit[at].0 += 1;
+                    if self.take_fwd_drop() {
+                        // Lost in transit: the flow dies at this node
+                        // (received but never forwarded — the per-hop
+                        // conservation invariant's bait).
+                        self.flows.remove(flow_token);
                     } else {
-                        self.transit[at].0 += 1;
-                        if self.take_fwd_drop() {
-                            // Lost in transit: the flow dies at this node
-                            // (received but never forwarded — the per-hop
-                            // conservation invariant's bait).
-                            self.flows.remove(flow_token);
-                        } else {
-                            self.transit[at].1 += 1;
-                            let next = self.topo.next_hop_edge(at, flow.dst as usize);
-                            debug_assert!(next != NO_ROUTE, "transit node lost its route");
-                            self.send_on(next as usize, flow_token, flow.bytes, now);
-                        }
+                        self.transit[at].1 += 1;
+                        let next = self.topo.next_hop_edge(at, flow.dst as usize);
+                        debug_assert!(next != NO_ROUTE, "transit node lost its route");
+                        self.send_on(next as usize, flow_token, flow.bytes, now);
                     }
                 }
             }
         }
-        self.drain_scratch = scratch;
-        self.rescan_min_arrival();
+        scratch.len()
+    }
+
+    /// Work counters `(net_drains, link_drains)`: ticks on which the
+    /// network drained anything, and links drained over those ticks.
+    /// Exact, and equal under both engines (a skipped tick drains nothing).
+    pub fn drain_counts(&self) -> (u64, u64) {
+        (self.net_drains, self.link_drains)
     }
 
     /// The network horizon recomputed by a fresh scan over every link,
-    /// bypassing the cached network-wide `min_arrival`. The sanitizer's
+    /// bypassing the arrival heap. The sanitizer's
     /// `wake-calendar` invariant compares it against
     /// [`NextEvent::next_event`]; nothing on the tick path calls it.
     pub fn scanned_next_event(&self, now: Cycle) -> Option<Cycle> {
@@ -1323,7 +1375,6 @@ impl LinkNetwork {
                 });
             }
         }
-        self.rescan_min_arrival();
         Ok(changed)
     }
 
@@ -1468,7 +1519,9 @@ impl LinkNetwork {
 
     /// Whether every link is quiescent (no message on any hop).
     pub fn is_idle(&self) -> bool {
-        self.links.iter().all(Link::is_idle)
+        let idle = self.arrivals.is_empty();
+        debug_assert_eq!(idle, self.links.iter().all(Link::is_idle));
+        idle
     }
 
     /// Number of GPU nodes.
@@ -1545,13 +1598,16 @@ impl NetSnapshot {
 
 impl NextEvent for LinkNetwork {
     fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        (self.min_arrival != u64::MAX).then(|| Cycle(self.min_arrival.max(now.0 + 1)))
+        self.arrivals
+            .peek()
+            .map(|&Reverse((arrival, _))| Cycle(arrival.max(now.0 + 1)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sim_core::rng::Stream;
 
     #[test]
     fn message_arrives_after_serialization_plus_latency() {
@@ -1790,10 +1846,9 @@ mod tests {
 
     #[test]
     fn network_horizon_matches_a_fresh_link_scan() {
-        // The cached network-wide `min_arrival` must equal a scan over
-        // every link through sends, multi-hop forwards, drains and a
-        // mid-flight outage, and skipping a tick before it must lose no
-        // delivery.
+        // The arrival heap's horizon must equal a scan over every link
+        // through sends, multi-hop forwards, drains and a mid-flight
+        // outage, and skipping a tick before it must lose no delivery.
         let topo = Topology::build(
             TopologySpec::Hierarchical { pod_size: 4 },
             16,
@@ -1836,6 +1891,180 @@ mod tests {
         assert!(net.is_idle() && delivered > 500);
         assert_eq!(net.next_event(Cycle(now)), None);
         assert_eq!(net.message_counts(), (delivered as u64, delivered as u64));
+    }
+
+    /// The full-scan drain the arrival heap replaced, kept as its oracle:
+    /// every link whose own `min_arrival` is due, in edge order. The
+    /// oracle's horizon is `scanned_next_event`; its heap is rebuilt from
+    /// the links only so `is_idle` stays consistent. Returns the number
+    /// of links drained.
+    fn scan_tick_into(net: &mut LinkNetwork, now: Cycle, out: &mut Vec<Delivery>) -> u64 {
+        let mut scratch = Vec::new();
+        let mut drained = 0;
+        for i in 0..net.links.len() {
+            if net.links[i].min_arrival > now.0 {
+                continue;
+            }
+            net.drain_link(i, now, &mut scratch, out);
+            drained += 1;
+        }
+        net.arrivals = (0..net.links.len())
+            .filter_map(|i| Some(Reverse((net.links[i].oldest_in_flight_arrival()?, i))))
+            .collect();
+        drained
+    }
+
+    /// What one differential scenario exercised.
+    #[derive(Debug, Default)]
+    struct Coverage {
+        deliveries: usize,
+        /// Ticks that drained more than one link.
+        multi_link_ticks: u64,
+        /// Whether an outage flipped the fabric out of single-hop mode
+        /// with raw tokens on the wire.
+        retagged: bool,
+    }
+
+    /// Drives a heap network and the scan oracle with one seeded stream of
+    /// sends, degrade/restore windows, outages, armed drops/dups and
+    /// time jumps (single steps, event-skip hops and multi-arrival
+    /// catch-ups), requiring identical deliveries on every tick,
+    /// identical conservation counters and an exact heap horizon after
+    /// every operation.
+    fn differential(spec: TopologySpec, gpus: usize, seed: u64, steps: u64) -> Coverage {
+        let build = || {
+            let topo = Topology::build(spec, gpus, 8.0, 40, 4.0, 80).expect("valid");
+            LinkNetwork::from_topology(topo).expect("valid")
+        };
+        let (mut heap, mut scan) = (build(), build());
+        let mut rng = Stream::from_seed(seed);
+        let edges = heap.num_edges() as u64;
+        let node = |i: u64| {
+            if i as usize == gpus {
+                NodeId::Cpu
+            } else {
+                NodeId::Gpu(i as usize)
+            }
+        };
+        let mut cov = Coverage::default();
+        let (mut now, mut token, mut partitioned) = (0u64, 0u64, false);
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        let (mut net_drains, mut link_drains) = (0u64, 0u64);
+        let check = |heap: &LinkNetwork, scan: &LinkNetwork, now: u64, op: &str| {
+            let at = Cycle(now);
+            let horizon = heap.next_event(at);
+            assert_eq!(horizon, heap.scanned_next_event(at), "{op} at {now}");
+            assert_eq!(horizon, scan.scanned_next_event(at), "{op} at {now}");
+            assert_eq!(
+                heap.message_counts(),
+                scan.message_counts(),
+                "{op} at {now}"
+            );
+            assert_eq!(
+                heap.transit_counts(),
+                scan.transit_counts(),
+                "{op} at {now}"
+            );
+            assert_eq!(heap.is_idle(), scan.is_idle(), "{op} at {now}");
+        };
+        for step in 0..steps {
+            let sending = step < steps * 9 / 10;
+            for _ in 0..rng.gen_range(0, 4) * u64::from(sending) {
+                let src = rng.gen_range(0, gpus as u64 + 1);
+                let dst = (src + rng.gen_range(1, gpus as u64 + 1)) % (gpus as u64 + 1);
+                let bytes = match rng.gen_range(0, 3) {
+                    0 => msg::REQ_BYTES,
+                    1 => msg::RESP_DATA_BYTES,
+                    _ => rng.gen_range(1, 300),
+                };
+                token += 1;
+                heap.send(node(src), node(dst), token, bytes, Cycle(now));
+                scan.send(node(src), node(dst), token, bytes, Cycle(now));
+                check(&heap, &scan, now, "send");
+            }
+            if rng.gen_bool(0.02) {
+                let (e, pct) = (
+                    rng.gen_range(0, edges) as usize,
+                    rng.gen_range(1, 101) as u32,
+                );
+                let pct = if rng.gen_bool(0.5) { pct } else { 100 };
+                heap.set_link_bandwidth_factor(e, pct);
+                scan.set_link_bandwidth_factor(e, pct);
+                check(&heap, &scan, now, "degrade");
+            }
+            if !partitioned && (step == steps / 3 || rng.gen_bool(0.002)) {
+                let e = rng.gen_range(0, edges) as usize;
+                let single_hop = heap.topology().is_single_hop();
+                let in_flight = !heap.is_idle();
+                let result = heap.fail_link(e, Cycle(now));
+                assert_eq!(result, scan.fail_link(e, Cycle(now)), "outage at {now}");
+                partitioned = result.is_err();
+                cov.retagged |= single_hop && in_flight && !heap.topology().is_single_hop();
+                check(&heap, &scan, now, "outage");
+            }
+            if rng.gen_bool(0.01) {
+                let n = rng.gen_range(1, 3) as u32;
+                match rng.gen_range(0, 3) {
+                    0 => (heap.inject_packet_drops(n), scan.inject_packet_drops(n)),
+                    1 => (heap.inject_forward_drops(n), scan.inject_forward_drops(n)),
+                    _ => (heap.inject_packet_dups(n), scan.inject_packet_dups(n)),
+                };
+            }
+            now = match rng.gen_range(0, 10) {
+                0..=4 => now + 1,
+                5..=7 => heap.next_event(Cycle(now)).map_or(now + 1, |c| c.0),
+                _ => now + rng.gen_range(2, 400),
+            };
+            got.clear();
+            want.clear();
+            heap.tick_into(Cycle(now), &mut got);
+            let drained = scan_tick_into(&mut scan, Cycle(now), &mut want);
+            assert_eq!(got, want, "deliveries diverged at {now}");
+            net_drains += u64::from(drained > 0);
+            link_drains += drained;
+            cov.multi_link_ticks += u64::from(drained > 1);
+            cov.deliveries += got.len();
+            check(&heap, &scan, now, "tick");
+        }
+        while let Some(at) = heap.next_event(Cycle(now)) {
+            now = at.0;
+            got.clear();
+            want.clear();
+            heap.tick_into(at, &mut got);
+            let drained = scan_tick_into(&mut scan, at, &mut want);
+            assert_eq!(got, want, "deliveries diverged at {now}");
+            net_drains += u64::from(drained > 0);
+            link_drains += drained;
+            cov.deliveries += got.len();
+            check(&heap, &scan, now, "drain");
+        }
+        assert!(heap.is_idle() && scan.is_idle());
+        assert_eq!(heap.drain_counts(), (net_drains, link_drains));
+        assert_eq!(heap.flow_desync_count(), 0);
+        cov
+    }
+
+    #[test]
+    fn arrival_heap_drains_exactly_like_the_full_link_scan() {
+        let hier4 = TopologySpec::Hierarchical { pod_size: 4 };
+        for (spec, gpus) in [
+            (TopologySpec::AllToAll, 4),
+            (TopologySpec::AllToAll, 16),
+            (TopologySpec::Switch, 16),
+            (TopologySpec::Ring, 16),
+            (hier4, 16),
+            (hier4, 64),
+        ] {
+            for seed in 0..3 {
+                let cov = differential(spec, gpus, seed, 3_000);
+                let what = format!("{spec:?} x{gpus} seed {seed}: {cov:?}");
+                assert!(cov.deliveries > 1_000, "{what}");
+                assert!(cov.multi_link_ticks > 50, "{what}");
+                if spec == TopologySpec::AllToAll {
+                    assert!(cov.retagged, "{what}");
+                }
+            }
+        }
     }
 
     #[test]

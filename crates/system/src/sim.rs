@@ -46,7 +46,7 @@ use crate::design::{Design, SimConfig};
 use crate::metrics::SimResult;
 use crate::pending::{GpuWaitFlags, Pending, PendingTable, RemoteCause, RemotePhase};
 use crate::sanitize::{Sanitizer, Violation};
-use crate::wake::WakeCalendar;
+use crate::wake::{WakeCalendar, WorkCounters};
 
 /// Base address of the RDC carve-out in each GPU's physical space; far
 /// above any workload VA so probe/fill traffic shares DRAM channels with
@@ -1205,11 +1205,10 @@ impl System {
 
     /// The sanitizer's `wake-calendar` invariant, checked before the tick
     /// at `now`: every core, DRAM and CPU memory the calendar is about to
-    /// skip, and the network when its cached horizon says it has nothing
-    /// due, must
-    /// report (by a fresh query) no event at or before `now`. A mutation
-    /// that bypassed the touch rule shows up here at the first tick its
-    /// component would have acted in.
+    /// skip, and the network when its arrival heap says it has nothing
+    /// due, must report (by a fresh query) no event at or before `now`.
+    /// A mutation that bypassed the touch rule shows up here at the first
+    /// tick its component would have acted in.
     fn audit_wake_calendar(&mut self, now: Cycle) {
         let Some(prev) = now.0.checked_sub(1).map(Cycle) else {
             return;
@@ -1249,7 +1248,7 @@ impl System {
     // the wake calendar's per-core, per-DRAM and CPU-memory slots (each a
     // `NextEvent` horizon taken when the component last ticked or was
     // touched, and unchanged since because every mutation touches), the
-    // network's own `min_arrival`, the delayed heap's head and the fault
+    // network's arrival-heap head, the delayed heap's head and the fault
     // schedule. Each under-approximates its component's next interesting
     // cycle (retry queues pin the horizon to `now + 1`, preserving the
     // stepping engine's every-cycle retry cadence), so jumping `now` to
@@ -2259,7 +2258,14 @@ pub fn try_run_observed(
         timeline,
         profile: cycle_profile,
         recovery: sys.recovery_snapshot(Cycle(now)),
-        work: Some(sys.cal.work),
+        work: Some({
+            let (net_drains, link_drains) = sys.net.drain_counts();
+            WorkCounters {
+                net_drains,
+                link_drains,
+                ..sys.cal.work
+            }
+        }),
     };
     Ok(result)
 }

@@ -25,10 +25,11 @@ use sim_core::event::NextEvent;
 use sim_core::Cycle;
 
 /// Deterministic work counters of one run: how many ticks the engine
-/// executed and how many core and DRAM visits the calendar executed or
-/// skipped. Exact and host-independent, so two runs of one point agree
-/// on them to the unit. Under [`crate::EngineMode::Step`] nothing is
-/// ever skipped.
+/// executed, how many core and DRAM visits the calendar executed or
+/// skipped, and how much link draining the network did. Exact and
+/// host-independent, so two runs of one point agree on them to the unit.
+/// Under [`crate::EngineMode::Step`] nothing is ever skipped; the drain
+/// counts are the same under both engines.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkCounters {
     /// System ticks executed (frozen cycles and skipped cycles excluded).
@@ -41,6 +42,10 @@ pub struct WorkCounters {
     pub dram_visits: u64,
     /// DRAM ticks skipped because the DRAM was not due.
     pub dram_skips: u64,
+    /// Ticks on which the network drained at least one link.
+    pub net_drains: u64,
+    /// Links drained, summed over those ticks.
+    pub link_drains: u64,
 }
 
 impl WorkCounters {
@@ -59,13 +64,16 @@ impl WorkCounters {
     /// One-line rendering for the `carve-sim` stderr summary.
     pub fn summary(&self) -> String {
         format!(
-            "work: ticks={} core={}/{} dram={}/{} skipped={:.1}%",
+            "work: ticks={} core={}/{} dram={}/{} skipped={:.1}% \
+             net_drains={} link_drains={}",
             self.ticks,
             self.core_visits,
             self.core_visits + self.core_skips,
             self.dram_visits,
             self.dram_visits + self.dram_skips,
-            100.0 * self.skip_share()
+            100.0 * self.skip_share(),
+            self.net_drains,
+            self.link_drains
         )
     }
 }
@@ -213,11 +221,13 @@ mod tests {
             core_skips: 30,
             dram_visits: 0,
             dram_skips: 40,
+            net_drains: 3,
+            link_drains: 7,
         };
         assert!((w.skip_share() - 70.0 / 80.0).abs() < 1e-12);
         assert_eq!(
             w.summary(),
-            "work: ticks=10 core=10/40 dram=0/40 skipped=87.5%"
+            "work: ticks=10 core=10/40 dram=0/40 skipped=87.5% net_drains=3 link_drains=7"
         );
         assert_eq!(WorkCounters::default().skip_share(), 0.0);
     }

@@ -148,6 +148,11 @@ fn engines_agree_on_faulted_16_gpu_hier4() {
     assert!(rs.duplicated_packets > 0);
 }
 
+/// Upper bound on links drained per draining tick on the 64-GPU hier4
+/// fabric. The arrival heap visits only those links, where a scan would
+/// walk all 688 directed edges. This run measures 1.45.
+const LINKS_PER_DRAIN_BOUND: f64 = 4.0;
+
 #[test]
 fn work_counters_repeat_exactly_and_skip_most_visits_at_64_gpus() {
     let spec = quick_spec("XSBench", 64);
@@ -168,9 +173,22 @@ fn work_counters_repeat_exactly_and_skip_most_visits_at_64_gpus() {
         "calendar skipped only {:.1}% of visits: {wa:?}",
         100.0 * wa.skip_share()
     );
-    // The stepping oracle visits everything, every cycle.
+    // The arrival heap drains only the links with a message due: a small
+    // fraction of the fabric's 688 edges on each draining tick.
+    assert!(wa.net_drains > 0 && wa.net_drains <= wa.ticks, "{wa:?}");
+    let per_drain = wa.link_drains as f64 / wa.net_drains as f64;
+    assert!(
+        per_drain < LINKS_PER_DRAIN_BOUND,
+        "{per_drain:.2} links drained per draining tick: {wa:?}"
+    );
+    // The stepping oracle visits everything, every cycle, and drains the
+    // same links on the same cycles.
     let step = run(&spec, &sim, EngineMode::Step).work.expect("counted");
     assert_eq!(step.core_skips + step.dram_skips, 0);
     assert!(step.ticks > wa.ticks && step.ticks <= a.cycles + 1);
     assert_eq!(step.core_visits, 64 * step.ticks);
+    assert_eq!(
+        (step.net_drains, step.link_drains),
+        (wa.net_drains, wa.link_drains)
+    );
 }

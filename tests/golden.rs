@@ -19,6 +19,12 @@
 //!   covers migration, replication, spill (CPU reads), the footnote-2
 //!   sysmem RDC, directory coherence and the hit predictor.
 //!
+//! A third fixture, `work.tsv`, pins the event-skip engine's
+//! deterministic [`carve_system::WorkCounters`] for three points (4-GPU
+//! all-to-all, 16-GPU switch, 64-GPU hier4). The counters never reach a
+//! journal, so a change that keeps every result but visits more cores,
+//! DRAMs or links per tick fails here instead.
+//!
 //! Regenerate (after an *intentional* result change) with:
 //!
 //! ```text
@@ -27,7 +33,9 @@
 //!
 //! and audit the diff line by line before committing.
 
-use carve_system::{run_with_profile_mode, workloads, Design, EngineMode, ScaledConfig, SimConfig};
+use carve_system::{
+    run_with_profile_mode, workloads, Design, EngineMode, ScaledConfig, SimConfig, TopologySpec,
+};
 use carve_trace::WorkloadSpec;
 use std::path::PathBuf;
 
@@ -127,9 +135,10 @@ fn encode(points: &[(String, WorkloadSpec, SimConfig)], mode: EngineMode) -> Vec
         .collect()
 }
 
-/// Compares freshly simulated journal lines against the fixture file, or
-/// rewrites the file when `CARVE_GOLDEN_REGEN` is set.
-fn check_against_fixture(fixture: &str, lines: Vec<String>) {
+/// Compares freshly simulated lines against the fixture file, or
+/// rewrites the file when `CARVE_GOLDEN_REGEN` is set. `why` says what a
+/// divergence means.
+fn check_against_fixture(fixture: &str, lines: Vec<String>, why: &str) {
     let path = fixture_path(fixture);
     if std::env::var_os("CARVE_GOLDEN_REGEN").is_some() {
         std::fs::create_dir_all(path.parent().expect("fixture dir")).expect("mkdir");
@@ -154,10 +163,74 @@ fn check_against_fixture(fixture: &str, lines: Vec<String>) {
     for (got, want) in lines.iter().zip(&want) {
         assert_eq!(
             got, want,
-            "{fixture}: journal line diverged from the golden fixture \
-             (datapath change is result-visible)"
+            "{fixture}: line diverged from the golden fixture ({why})"
         );
     }
+}
+
+/// What a journal-fixture divergence means.
+const RESULT_VISIBLE: &str = "datapath change is result-visible";
+
+/// The work-snapshot points: a fig02 point on the paper's 4-GPU
+/// all-to-all machine, then a 16-GPU switch and a 64-GPU hier4 machine
+/// with one CTA per GPU.
+fn work_points() -> Vec<(String, WorkloadSpec, SimConfig)> {
+    let short = |name: &str, ctas: usize| {
+        let mut spec = golden_spec(name);
+        spec.shape.ctas = ctas;
+        spec.shape.instrs_per_warp = spec.shape.instrs_per_warp.min(24);
+        spec
+    };
+    let machine = |gpus: usize, topology: TopologySpec| {
+        let mut sim = sim_of(Design::CarveHwc);
+        sim.cfg.num_gpus = gpus;
+        sim.cfg.topology = topology;
+        sim
+    };
+    vec![
+        (
+            "Lulesh|numa-gpu|4|all-to-all".to_string(),
+            golden_spec("Lulesh"),
+            sim_of(Design::NumaGpu),
+        ),
+        (
+            "Lulesh|carve-hwc|16|switch".to_string(),
+            short("Lulesh", 16),
+            machine(16, TopologySpec::Switch),
+        ),
+        (
+            "XSBench|carve-hwc|64|hier4".to_string(),
+            short("XSBench", 64),
+            machine(64, TopologySpec::Hierarchical { pod_size: 4 }),
+        ),
+    ]
+}
+
+#[test]
+fn work_counters_match_snapshot() {
+    let mut lines = vec![
+        "point\tticks\tcore_visits\tcore_skips\tdram_visits\tdram_skips\tnet_drains\tlink_drains"
+            .to_string(),
+    ];
+    for (key, spec, sim) in work_points() {
+        let r = run_with_profile_mode(&spec, &sim, None, EngineMode::EventSkip);
+        let w = r.work.expect("the engine counts its work");
+        lines.push(format!(
+            "{key}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
+            w.ticks,
+            w.core_visits,
+            w.core_skips,
+            w.dram_visits,
+            w.dram_skips,
+            w.net_drains,
+            w.link_drains
+        ));
+    }
+    check_against_fixture(
+        "work.tsv",
+        lines,
+        "the engine visits a different number of cores, DRAMs or links",
+    );
 }
 
 #[test]
@@ -165,6 +238,7 @@ fn all20_event_skip_matches_golden() {
     check_against_fixture(
         "all20_carve_hwc.journal",
         encode(&all20_points(), EngineMode::EventSkip),
+        RESULT_VISIBLE,
     );
 }
 
@@ -173,6 +247,7 @@ fn all20_step_engine_matches_golden() {
     check_against_fixture(
         "all20_carve_hwc.journal",
         encode(&all20_points(), EngineMode::Step),
+        RESULT_VISIBLE,
     );
 }
 
@@ -181,6 +256,7 @@ fn representative_event_skip_matches_golden() {
     check_against_fixture(
         "representative.journal",
         encode(&representative_points(), EngineMode::EventSkip),
+        RESULT_VISIBLE,
     );
 }
 
@@ -189,5 +265,6 @@ fn representative_step_engine_matches_golden() {
     check_against_fixture(
         "representative.journal",
         encode(&representative_points(), EngineMode::Step),
+        RESULT_VISIBLE,
     );
 }
